@@ -31,12 +31,6 @@ from .model import (
     smoothed_score,
     smoothed_score_density,
 )
-from .oracle import (
-    OracleFit,
-    exact_wi_fit,
-    finite_difference_jacobian,
-    indicator_correlation_oracle,
-)
 from .simulation import (
     ReplicationRecord,
     SimConfig,
@@ -74,7 +68,6 @@ __all__ = [
     "FitResult",
     "LongitudinalDataset",
     "METHODS",
-    "OracleFit",
     "SchemaError",
     "ScoreVariances",
     "ReplicationRecord",
@@ -97,14 +90,11 @@ __all__ = [
     "confidence_intervals",
     "estimate_lag_correlations",
     "estimate_sparsity_hk",
-    "exact_wi_fit",
-    "finite_difference_jacobian",
     "fit",
     "fit_many",
     "generate_dataset",
     "hall_sheather_bandwidth",
     "identity_sparsity",
-    "indicator_correlation_oracle",
     "regularize_correlation",
     "run_study",
     "sample_errors",

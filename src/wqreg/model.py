@@ -156,7 +156,8 @@ class FitResult:
     method: str  # "WI", "PQR" or "AQR"
     rho_hat: np.ndarray  # lag correlations; empty for WI
     # root of the smoothed estimating equation at the final radii; for WI this
-    # is the pre-polish fixed point, for PQR/AQR it equals beta
+    # differs from beta, the exact check-loss minimizer, and for PQR/AQR it
+    # equals beta
     beta_root: np.ndarray | None = None
     n_obs: int = 0
     coefficient_names: list = field(default_factory=list)

@@ -3,14 +3,16 @@
 The estimating function, its Jacobian and the score covariance are shared
 by all methods; WI, PQR and AQR differ only in the weights they feed in
 (Gamma, C, sigma). One Newton loop with a joint Omega update drives all of
-them. Two refinement phases run after the loop:
+them, and every converged fit gets one refinement phase: a final Newton
+pass at frozen weights so that ``beta_root`` is a machine-precision root of
+the smoothed equation.
 
-* every converged fit gets a final Newton pass at frozen weights so the
-  reported beta is a machine-precision root of the smoothed equation;
-* the WI fit additionally continues with a vanishing-smoothing phase that
-  drives beta to the exact minimizer of the check-loss objective, since
-  with shrinking radii the smoothed equation is the gradient of a convex
-  surrogate of that objective.
+The WI estimate itself is the exact minimizer of the check-loss objective,
+solved as the Koenker-Bassett linear program. Where that minimizer is not
+unique the optimal set is a face of the LP, and the WI fit returns the mean
+of the face's extreme points along each orthonormal direction in which it is
+flat; on an edge this is the midpoint. The Newton loop of the WI fit, started
+at the LP solution, supplies Omega for the sandwich standard errors.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import null_space
+from scipy.optimize import linprog
 from scipy.stats import norm
 
 from .correlation import (
@@ -34,7 +38,6 @@ from .exceptions import DataError, SolverError
 from .model import (
     FitResult,
     LongitudinalDataset,
-    check_objective,
     check_tau,
     smoothed_score,
     smoothed_score_density,
@@ -65,6 +68,7 @@ COND_MAX = 1e12  # Jacobian condition limit; beyond it the system is singular
 RADII_FLOOR = 1e-12
 MAX_HALVINGS = 20
 INFLATE_MAX = 60  # radius inflation attempts before giving up on a step
+FLAT_TOL = 1e-9  # LP dual values this far inside (tau - 1, tau) mark zero residuals
 
 
 @dataclass
@@ -74,7 +78,6 @@ class SolverConfig:
     max_outer_iterations: int = 100
     beta_tolerance: float = 1e-8  # sup-norm of the beta step
     omega_tolerance: float = 1e-6  # relative Frobenius change of Omega
-    rho_refresh: bool = True  # re-estimate rho and sigma each outer iteration
     gamma_mode: str = "hk"  # "hk" or "identity"
 
     def __post_init__(self):
@@ -245,14 +248,10 @@ def _jacobian_with_inflation(dataset, beta, state, gamma, sigma, tau):
 
 
 def _newton_loop(dataset, tau, method, config, beta0, gamma):
-    X, y = dataset.X, dataset.y
     beta = beta0.copy()
     state = SmoothingState.from_omega(dataset, np.eye(dataset.p) / dataset.m)
     sigma = None
     rho_hat = np.empty(0)
-    track_best = method == "WI"
-    best_beta = beta.copy()
-    best_obj = check_objective(X, y, beta, tau) if track_best else np.inf
     converged = False
     iterations = 0
     for it in range(config.max_outer_iterations):
@@ -260,7 +259,7 @@ def _newton_loop(dataset, tau, method, config, beta0, gamma):
         if method == "WI":
             if sigma is None:
                 _, sigma = _wi_weights(dataset, tau)
-        elif sigma is None or config.rho_refresh:
+        else:
             sigma, rho_hat = _weighted_sigma(dataset, beta, tau, method)
         U = smoothed_estimating_function(dataset, beta, state, gamma, sigma, tau)
         G, state = _jacobian_with_inflation(dataset, beta, state, gamma, sigma, tau)
@@ -283,14 +282,10 @@ def _newton_loop(dataset, tau, method, config, beta0, gamma):
         delta_omega = float(np.linalg.norm(omega_new - state.omega) / denom)
         beta = beta_new
         state = SmoothingState.from_omega(dataset, omega_new)
-        if track_best:
-            obj = check_objective(X, y, beta, tau)
-            if obj < best_obj:
-                best_obj, best_beta = obj, beta.copy()
         if delta_beta < config.beta_tolerance and delta_omega < config.omega_tolerance:
             converged = True
             break
-    return beta, state, sigma, rho_hat, iterations, converged, best_beta, best_obj
+    return beta, state, sigma, rho_hat, iterations, converged
 
 
 def _refine_root(dataset, beta, state, gamma, sigma, tau):
@@ -326,70 +321,42 @@ def _refine_root(dataset, beta, state, gamma, sigma, tau):
 
 
 # ---------------------------------------------------------------------------
-# WI vanishing-smoothing phase
+# exact WI point estimate
 # ---------------------------------------------------------------------------
 
-_SQRT_2PI = np.sqrt(2.0 * np.pi)
 
+def _check_loss_minimizer(X: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
+    """Exact minimizer of the check-loss objective (Koenker & Bassett, 1978).
 
-def _smoothed_check_loss(u: np.ndarray, r: np.ndarray, tau: float) -> float:
-    """Convex primitive whose gradient in beta is -X' psi~; used for line search."""
-    z = np.clip(u / r, -40.0, 40.0)
-    from scipy.special import ndtr
-
-    return float(((tau - 1.0) * u + u * ndtr(z) + r * np.exp(-0.5 * z * z) / _SQRT_2PI).sum())
-
-
-def _polish_to_vertex(X, y, tau, beta_start, r_base, best_beta, best_obj):
-    """Drive beta to the exact check-loss minimizer by shrinking the radii.
-
-    Each level solves the smoothed convex problem at radii shrunk by half a
-    decade, warm-started from the previous level. Steps use Levenberg
-    damping so that a degenerate Jacobian degrades into a short gradient
-    step instead of an overshoot. The best exact objective seen anywhere
-    wins.
+    HiGHS solves the dual LP, max y'd subject to X'd = 0 and
+    tau - 1 <= d <= tau; beta is the negated multiplier of X'd = 0. The
+    minimizer is not unique when the optimal set is a face of the LP. With
+    Z the rows whose d lies strictly inside its bounds and r = y - X b, that
+    face is X_Z b = y_Z, r_i >= 0 where d_i = tau, r_i <= 0 where
+    d_i = tau - 1. For each orthonormal direction v of the null space of
+    X_Z, two small LPs find the face's extreme points in v'b; their mean is
+    returned, which on an edge is its midpoint.
     """
-    n_obs, p = X.shape
-    beta = beta_start.copy()
-    eye = np.eye(p)
-    for level in range(1, 17):
-        r = np.maximum(r_base * 10.0 ** (-0.5 * level), RADII_FLOOR)
-        mu0 = 1e-10
-        for _ in range(120):
-            resid = y - X @ beta
-            U = X.T @ smoothed_score(resid, r, tau)
-            if np.max(np.abs(U)) < 1e-13 * n_obs:
-                break
-            lam = smoothed_score_density(resid, r)
-            G = X.T @ (lam[:, None] * X)
-            f0 = _smoothed_check_loss(resid, r, tau)
-            trace = max(np.trace(G) / p, 1e-300)
-            mu, accepted, step = mu0, False, None
-            for _ in range(60):
-                try:
-                    step = np.linalg.solve(G + mu * trace * eye, U)
-                except np.linalg.LinAlgError:
-                    mu *= 10.0
-                    continue
-                if not np.all(np.isfinite(step)):
-                    mu *= 10.0
-                    continue
-                f_trial = _smoothed_check_loss(y - X @ (beta + step), r, tau)
-                decrease = 1e-4 * float(U @ step)
-                if f_trial <= f0 - decrease or f_trial < f0 - 1e-15 * (1.0 + abs(f0)):
-                    beta = beta + step
-                    accepted = True
-                    mu0 = max(mu0 / 10.0, 1e-12)
-                    break
-                mu *= 10.0
-            if not accepted:
-                break
-            obj = check_objective(X, y, beta, tau)
-            if obj < best_obj:
-                best_obj, best_beta = obj, beta.copy()
-            if np.max(np.abs(step)) < 1e-15 * (1.0 + np.max(np.abs(beta))):
-                break
-    return best_beta, best_obj
+    p = X.shape[1]
+    res = linprog(-y, A_eq=X.T, b_eq=np.zeros(p), bounds=(tau - 1.0, tau), method="highs")
+    if res.status != 0:
+        raise SolverError(f"check-loss LP failed: {res.message}")
+    beta, d = -res.eqlin.marginals, res.x
+    null = null_space(X[(d > tau - 1.0 + FLAT_TOL) & (d < tau - FLAT_TOL)])
+    if null.shape[1] == 0:
+        return beta
+    # b = beta + null @ t keeps X_Z b = y_Z; the rows at a bound keep the sign of r
+    r, A = y - X @ beta, X @ null
+    upper, lower = d >= tau - FLAT_TOL, d <= tau - 1.0 + FLAT_TOL
+    A_ub = np.vstack([A[upper], -A[lower]])
+    b_ub = np.concatenate([np.maximum(r[upper], 0.0), -np.minimum(r[lower], 0.0)])
+    ends = []
+    for c in np.vstack([np.eye(null.shape[1]), -np.eye(null.shape[1])]):
+        end = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=(None, None), method="highs")
+        if end.status != 0:
+            raise SolverError(f"check-loss tie LP failed: {end.message}")
+        ends.append(end.x)
+    return beta + null @ np.mean(ends, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -397,70 +364,11 @@ def _polish_to_vertex(X, y, tau, beta_start, r_base, best_beta, best_obj):
 # ---------------------------------------------------------------------------
 
 
-def _fit_wi(dataset: LongitudinalDataset, tau: float, config: SolverConfig) -> FitResult:
-    X, y = dataset.X, dataset.y
-    beta0 = np.linalg.lstsq(X, y, rcond=None)[0]
-    gamma, _ = _wi_weights(dataset, tau)
-    beta, state, sigma, _, iterations, converged, best_beta, best_obj = _newton_loop(
-        dataset, tau, "WI", config, beta0, gamma
-    )
-    if converged:
-        beta = _refine_root(dataset, beta, state, gamma, sigma, tau)
-        obj = check_objective(X, y, beta, tau)
-        if obj < best_obj:
-            best_obj, best_beta = obj, beta.copy()
-    beta_root = beta.copy()
-
-    # vanishing-smoothing continuation; base radii clamped to the residual
-    # scale so a diverged Omega cannot poison them
-    resid = y - X @ best_beta
-    data_scale = max(1.4826 * float(np.median(np.abs(resid))), 1e-6 * (1.0 + float(np.std(y))))
-    if np.all(np.isfinite(state.omega)):
-        r_base = np.minimum(_radii(X, state.omega), data_scale)
-    else:
-        r_base = np.full(dataset.n_obs, data_scale)
-    beta_hat, _ = _polish_to_vertex(X, y, tau, best_beta.copy(), r_base, best_beta, best_obj)
-
-    if np.all(np.isfinite(state.omega)):
-        report_state = state
-    else:
-        report_state = SmoothingState(None, np.full(dataset.n_obs, data_scale))
-    try:
-        omega = sandwich_covariance(dataset, beta_hat, report_state, gamma, sigma, tau)
-        std_errors = np.sqrt(np.maximum(np.diag(omega), 0.0))
-    except (SolverError, np.linalg.LinAlgError):
-        omega = np.full((dataset.p, dataset.p), np.nan)
-        std_errors = np.full(dataset.p, np.nan)
-        converged = False
-    result = FitResult(
-        beta=beta_hat,
-        omega=omega,
-        std_errors=std_errors,
-        iterations=iterations,
-        converged=converged,
-        tau=tau,
-        method="WI",
-        rho_hat=np.empty(0),
-        beta_root=beta_root,
-        n_obs=dataset.n_obs,
-    )
-    result._context = {"state": report_state, "gamma": gamma, "sigma": sigma}
-    return result
-
-
-def _fit_weighted(
-    dataset: LongitudinalDataset,
-    tau: float,
-    method: str,
-    config: SolverConfig,
-    beta0: np.ndarray,
-    gamma: SparsityWeights,
-) -> FitResult:
-    beta, state, sigma, rho_hat, iterations, converged, _, _ = _newton_loop(
-        dataset, tau, method, config, beta0, gamma
-    )
-    if converged:
-        beta = _refine_root(dataset, beta, state, gamma, sigma, tau)
+def _fit_result(
+    dataset, tau, method, beta, beta_root, state, gamma, sigma, rho_hat, iterations, converged
+):
+    """FitResult with sandwich SEs at beta; a failed sandwich gives NaN SEs
+    and clears ``converged``, so a converged fit always has finite SEs."""
     try:
         omega = sandwich_covariance(dataset, beta, state, gamma, sigma, tau)
         std_errors = np.sqrt(np.maximum(np.diag(omega), 0.0))
@@ -477,11 +385,44 @@ def _fit_weighted(
         tau=tau,
         method=method,
         rho_hat=rho_hat,
-        beta_root=beta.copy(),
+        beta_root=beta_root,
         n_obs=dataset.n_obs,
     )
     result._context = {"state": state, "gamma": gamma, "sigma": sigma}
     return result
+
+
+def _fit_wi(dataset: LongitudinalDataset, tau: float, config: SolverConfig) -> FitResult:
+    beta_hat = _check_loss_minimizer(dataset.X, dataset.y, tau)
+    gamma, _ = _wi_weights(dataset, tau)
+    beta_root, state, sigma, _, iterations, converged = _newton_loop(
+        dataset, tau, "WI", config, beta_hat, gamma
+    )
+    if converged:
+        beta_root = _refine_root(dataset, beta_root, state, gamma, sigma, tau)
+    return _fit_result(
+        dataset, tau, "WI", beta_hat, beta_root, state, gamma, sigma, np.empty(0),
+        iterations, converged,
+    )
+
+
+def _fit_weighted(
+    dataset: LongitudinalDataset,
+    tau: float,
+    method: str,
+    config: SolverConfig,
+    beta0: np.ndarray,
+    gamma: SparsityWeights,
+) -> FitResult:
+    beta, state, sigma, rho_hat, iterations, converged = _newton_loop(
+        dataset, tau, method, config, beta0, gamma
+    )
+    if converged:
+        beta = _refine_root(dataset, beta, state, gamma, sigma, tau)
+    return _fit_result(
+        dataset, tau, method, beta, beta.copy(), state, gamma, sigma, rho_hat,
+        iterations, converged,
+    )
 
 
 def _gamma_for(dataset, tau, config) -> SparsityWeights:

@@ -1,4 +1,4 @@
-"""Brute-force reference implementations used only by tests.
+"""Brute-force reference implementations for the test suite.
 
 Nothing here is a production code path. The exact WI fit enumerates all
 p-subsets of observations, which is only viable on tiny instances; the
@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DataError
-from .model import LongitudinalDataset, check_objective, check_tau
+from wqreg.exceptions import DataError
+from wqreg.model import LongitudinalDataset, check_objective, check_tau
 
 __all__ = [
     "OracleFit",

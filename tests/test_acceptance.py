@@ -15,8 +15,6 @@ from wqreg import (
     SmoothingState,
     check_objective,
     estimate_lag_correlations,
-    exact_wi_fit,
-    finite_difference_jacobian,
     fit,
     fit_many,
     generate_dataset,
@@ -29,6 +27,7 @@ from wqreg.correlation import ScoreVariances, assemble_working_covariance
 from wqreg.sparsity import identity_sparsity
 
 from conftest import random_dataset
+from oracle import exact_wi_fit, finite_difference_jacobian
 
 COEFS = ("beta0", "beta1", "beta2")
 

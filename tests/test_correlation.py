@@ -12,7 +12,6 @@ from wqreg import (
     build_stationary_correlation,
     estimate_lag_correlations,
     generate_dataset,
-    indicator_correlation_oracle,
     regularize_correlation,
     sigma_constant,
     sigma_empirical,
@@ -21,6 +20,7 @@ from wqreg import (
 from wqreg.correlation import SIGMA_MIN, ScoreVariances
 
 from conftest import random_dataset
+from oracle import indicator_correlation_oracle
 
 
 def panel(rows):

@@ -8,12 +8,10 @@ from wqreg import (
     LongitudinalDataset,
     Subject,
     check_objective,
-    exact_wi_fit,
-    finite_difference_jacobian,
-    indicator_correlation_oracle,
 )
 
 from conftest import scalar_dataset
+from oracle import exact_wi_fit, finite_difference_jacobian, indicator_correlation_oracle
 
 
 def test_exact_fit_median_of_five():

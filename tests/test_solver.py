@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import wqreg.solver as solver_mod
 from wqreg import (
@@ -14,8 +15,6 @@ from wqreg import (
     Subject,
     check_objective,
     confidence_intervals,
-    exact_wi_fit,
-    finite_difference_jacobian,
     fit,
     fit_many,
     generate_dataset,
@@ -30,6 +29,7 @@ from wqreg.correlation import ScoreVariances, assemble_working_covariance
 from wqreg.sparsity import SparsityWeights, identity_sparsity
 
 from conftest import random_dataset, scalar_dataset
+from oracle import exact_wi_fit, finite_difference_jacobian
 
 
 def wi_weights(ds, tau=0.5):
@@ -238,6 +238,40 @@ def test_wi_fit_reaches_oracle_objective(rng):
         assert np.max(np.abs(res.beta - oracle.beta)) <= 0.02
         excess = check_objective(ds.X, ds.y, res.beta, tau) - oracle.objective
         assert excess <= 1e-6 * (1.0 + abs(oracle.objective))
+
+
+def test_wi_tie_rule_takes_the_middle_of_the_optimal_interval():
+    ds = scalar_dataset([1.0, 2.0, 3.0, 4.0])
+    # every b in [2, 3] minimizes the check loss at tau = 0.5, every b in [1, 2] at 0.25
+    assert abs(fit(ds, 0.5, "WI").beta[0] - 2.5) <= 1e-9
+    assert abs(fit(ds, 0.25, "WI").beta[0] - 1.5) <= 1e-9
+
+
+def test_wi_tie_rule_takes_the_midpoint_of_an_optimal_edge():
+    # the binary covariate leaves the optimal set an edge on this panel
+    config = SimConfig(m=80, n=4, rho=0.0, taus=(0.5,), replications=1, master_seed=5)
+    ds = generate_dataset(config, 0)
+    tau = 0.5
+    res = fit(ds, tau, "WI")
+    dual = linprog(-ds.y, A_eq=ds.X.T, b_eq=np.zeros(ds.p), bounds=(tau - 1, tau), method="highs")
+    optimum = -dual.fun
+    assert check_objective(ds.X, ds.y, res.beta, tau) == pytest.approx(optimum, rel=1e-9)
+
+    # ends of the optimal set in beta_0, from the primal LP over (b, u+, u-)
+    N, p = ds.X.shape
+    A_eq = np.hstack([ds.X, np.eye(N), -np.eye(N)])
+    loss = np.concatenate([np.zeros(p), np.full(N, tau), np.full(N, 1 - tau)])
+    bounds = [(None, None)] * p + [(0, None)] * (2 * N)
+    ends = []
+    for sign in (1.0, -1.0):
+        c = np.zeros(p + 2 * N)
+        c[0] = sign
+        sol = linprog(c, A_ub=loss[None, :], b_ub=[optimum * (1 + 1e-12)], A_eq=A_eq, b_eq=ds.y,
+                      bounds=bounds, method="highs")
+        ends.append(sol.x[:p])
+    assert abs(ends[1][0] - ends[0][0]) > 1e-3
+    assert np.max(np.abs(res.beta - 0.5 * (ends[0] + ends[1]))) <= 1e-6
+    assert np.max(np.abs(res.beta - [-0.40255, 0.26203, 0.91300])) <= 1e-5
 
 
 def test_fit_result_invariants():
