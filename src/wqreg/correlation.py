@@ -2,9 +2,9 @@
 
 Builds Sigma_i = A_i^{1/2} C(rho) A_i^{1/2} from per-occasion score
 variances and the stationary lag-correlation moment estimator. Subjects
-with the same occasion count share one Cholesky factor, which the solver
-exploits; all linear solves go through triangular factors, never an
-explicit inverse.
+with the same occasion count share one Sigma_n, so the working covariance
+forms Sigma_n^{-1} once per update, from its Cholesky factor, and the
+solver applies it by a plain matrix product on every kernel evaluation.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, toeplitz
+from scipy.linalg import toeplitz
 
 from .exceptions import DataError
 from .model import LongitudinalDataset, check_tau, score_psi
@@ -157,7 +157,17 @@ def regularize_correlation(C: np.ndarray) -> np.ndarray:
 
 
 class WorkingCovariance:
-    """Per-subject Sigma_i with shared Cholesky factors by occasion count."""
+    """Per-subject Sigma_i with one shared inverse per occasion count.
+
+    The inverse of each occasion group's Sigma_n is formed once here, from
+    its Cholesky factor, and symmetrised. U, G and V apply it to every
+    subject of the group on every evaluation, so each solve is one numpy
+    matrix product and no LAPACK call runs per evaluation. Sigma_n has one
+    row per occasion and a regularised correlation, so the explicit inverse
+    loses no accuracy that matters. A LAPACK solve per evaluation costs
+    more than the product, and in a process pool each worker's LAPACK
+    threads contend with the other workers for the cores.
+    """
 
     def __init__(self, variances: ScoreVariances, correlation: np.ndarray,
                  dataset: LongitudinalDataset, lag_correlations: np.ndarray | None = None):
@@ -172,9 +182,12 @@ class WorkingCovariance:
         sd = np.sqrt(variances.per_position[:max_n])
         full = sd[:, None] * self.correlation * sd[None, :]
         self._full = full
-        self._chol = {}
+        self._inverse = {}
         for n, _, _, _, _ in dataset.groups():
-            self._chol[n] = cho_factor(full[:n, :n], lower=True)
+            # the Cholesky factor also rejects a Sigma_n that is not PD
+            l_inv = np.linalg.inv(np.linalg.cholesky(full[:n, :n]))
+            inverse = l_inv.T @ l_inv
+            self._inverse[n] = 0.5 * (inverse + inverse.T)
 
     def subject_matrix(self, dataset: LongitudinalDataset, i: int) -> np.ndarray:
         """Dense Sigma_i for subject index i."""
@@ -183,13 +196,14 @@ class WorkingCovariance:
 
     def solve_vectors(self, n: int, values: np.ndarray) -> np.ndarray:
         """Sigma^{-1} v for a (g, n) stack of per-subject vectors."""
-        return cho_solve(self._chol[n], values.T).T
+        # Sigma^{-1} is symmetric, so (Sigma^{-1} V')' = V Sigma^{-1}
+        return values @ self._inverse[n]
 
     def solve_blocks(self, n: int, blocks: np.ndarray) -> np.ndarray:
         """Sigma^{-1} B for a (g, n, p) stack of per-subject matrices."""
         g, _, p = blocks.shape
         flat = blocks.transpose(1, 0, 2).reshape(n, g * p)
-        out = cho_solve(self._chol[n], flat)
+        out = self._inverse[n] @ flat
         return out.reshape(n, g, p).transpose(1, 0, 2)
 
 
@@ -199,6 +213,6 @@ def assemble_working_covariance(
     dataset: LongitudinalDataset,
     lag_correlations: np.ndarray | None = None,
 ) -> WorkingCovariance:
-    """Build Sigma_i = A^{1/2} C A^{1/2} with its Cholesky factors."""
+    """Build Sigma_i = A^{1/2} C A^{1/2} with its per-group inverses."""
     C = regularize_correlation(correlation)
     return WorkingCovariance(variances, C, dataset, lag_correlations)

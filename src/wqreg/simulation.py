@@ -145,6 +145,28 @@ def ar1_covariance(rho: float, n: int) -> np.ndarray:
     return toeplitz(rho ** np.arange(n, dtype=float))
 
 
+def _gaussian_draws(case: str, L: np.ndarray, rng: np.random.Generator):
+    """One subject's error draws in stream order: the AR(1) Gaussian vector
+    L z, then, for the t case only, one chi-square(3) W (1 otherwise)."""
+    z = L @ rng.standard_normal(L.shape[0])
+    w = rng.chisquare(3) if case == "t" else 1.0
+    return z, w
+
+
+def _marginal_errors(case: str, z: np.ndarray, w, tau: float) -> np.ndarray:
+    """Map AR(1) Gaussian draws to errors whose tau-quantile is zero.
+
+    Elementwise in z, so one call transforms one subject's (n,) vector or a
+    whole dataset's (m, n) stack with w of shape (m, 1), bit for bit alike.
+    """
+    if case == "normal":
+        return z - norm.ppf(tau)
+    if case == "chisq":
+        u = np.clip(ndtr(z), 1e-16, 1.0 - 1e-16)
+        return chi2.ppf(u, df=2) - chi2.ppf(tau, df=2)
+    return z / np.sqrt(w / 3.0) - student_t.ppf(tau, df=3)
+
+
 def sample_errors(case: str, rho: float, n: int, tau: float, rng: np.random.Generator) -> np.ndarray:
     """Draw one subject's error vector with marginal tau-quantile zero.
 
@@ -152,19 +174,12 @@ def sample_errors(case: str, rho: float, n: int, tau: float, rng: np.random.Gene
     chisq:  Gaussian copula with chi-square(2) marginals.
     t:      AR(1) Gaussian over sqrt(W/3), one chi-square(3) W per subject.
     """
-    case = _CASE_ALIASES.get(str(case).lower())
-    if case is None:
+    canonical = _CASE_ALIASES.get(str(case).lower())
+    if canonical is None:
         raise ValueError(f"unknown error case {case!r}")
     tau = check_tau(tau)
-    L = np.linalg.cholesky(ar1_covariance(rho, n))
-    z = L @ rng.standard_normal(n)
-    if case == "normal":
-        return z - norm.ppf(tau)
-    if case == "chisq":
-        u = np.clip(ndtr(z), 1e-16, 1.0 - 1e-16)
-        return chi2.ppf(u, df=2) - chi2.ppf(tau, df=2)
-    w = rng.chisquare(3)
-    return z / np.sqrt(w / 3.0) - student_t.ppf(tau, df=3)
+    z, w = _gaussian_draws(canonical, np.linalg.cholesky(ar1_covariance(rho, n)), rng)
+    return _marginal_errors(canonical, z, w, tau)
 
 
 def generate_dataset(
@@ -176,21 +191,36 @@ def generate_dataset(
     response; tau defaults to the first configured level. Covariates and
     the underlying Gaussian draws are shared across taus because every
     subject stream is keyed only by (master_seed, replication, subject).
+
+    Each subject's stream gives, in order, ``random(n)`` for the Bernoulli
+    covariate, ``standard_normal(n)`` for the normal covariate, and then the
+    draws of ``sample_errors``: ``standard_normal(n)`` and, for the t case,
+    ``chisquare(3)``. The AR(1) Cholesky factor is built once per dataset
+    and the marginal transform runs once on the stacked (m, n) draws, so
+    the errors equal those of ``sample_errors`` replayed on each stream.
     """
-    if tau is None:
-        tau = config.taus[0]
+    tau = check_tau(config.taus[0] if tau is None else tau)
+    m, n = config.m, config.n
     beta = np.asarray(config.beta_true)
-    subjects = []
-    for i in range(config.m):
+    L = np.linalg.cholesky(ar1_covariance(config.rho, n))
+    designs = []
+    z = np.empty((m, n))
+    w = np.ones((m, 1))
+    for i in range(m):
         rng = np.random.default_rng(
             np.random.SeedSequence([config.master_seed, replication, i])
         )
-        x1 = (rng.random(config.n) < 0.5).astype(float)
-        x2 = rng.standard_normal(config.n)
-        X = np.column_stack([np.ones(config.n), x1, x2])
-        eps = sample_errors(config.error_case, config.rho, config.n, tau, rng)
-        subjects.append(Subject(id=str(i), covariates=X, responses=X @ beta + eps))
-    return LongitudinalDataset(subjects)
+        x1 = (rng.random(n) < 0.5).astype(float)
+        x2 = rng.standard_normal(n)
+        designs.append(np.column_stack([np.ones(n), x1, x2]))
+        z[i], w[i] = _gaussian_draws(config.error_case, L, rng)
+    eps = _marginal_errors(config.error_case, z, w, tau)
+    return LongitudinalDataset(
+        [
+            Subject(id=str(i), covariates=X, responses=X @ beta + eps[i])
+            for i, X in enumerate(designs)
+        ]
+    )
 
 
 def _fit_method_order(config: SimConfig):
@@ -242,8 +272,10 @@ def run_study(
     solver_config = solver_config or SolverConfig()
     if workers > 1:
         jobs = [(config, r, solver_config) for r in range(config.replications)]
+        # one replication per task: a slow-converging replication can cost
+        # several others, and fixed chunks would leave a worker idle
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_replicate_star, jobs, chunksize=4))
+            batches = list(pool.map(_replicate_star, jobs))
     else:
         batches = [_replicate(config, r, solver_config) for r in range(config.replications)]
     records = [rec for batch in batches for rec in batch]

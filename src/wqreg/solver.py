@@ -205,11 +205,9 @@ def confidence_intervals(result: FitResult, level: float = 0.95) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _wi_weights(dataset: LongitudinalDataset, tau: float):
+def _wi_sigma(dataset: LongitudinalDataset, tau: float) -> WorkingCovariance:
     variances = ScoreVariances(np.full(dataset.max_n, sigma_constant(tau)))
-    C = np.eye(dataset.max_n)
-    sigma = assemble_working_covariance(variances, C, dataset)
-    return identity_sparsity(dataset), sigma
+    return assemble_working_covariance(variances, np.eye(dataset.max_n), dataset)
 
 
 def _weighted_sigma(dataset: LongitudinalDataset, beta, tau: float, method: str):
@@ -258,7 +256,7 @@ def _newton_loop(dataset, tau, method, config, beta0, gamma):
         iterations = it + 1
         if method == "WI":
             if sigma is None:
-                _, sigma = _wi_weights(dataset, tau)
+                sigma = _wi_sigma(dataset, tau)
         else:
             sigma, rho_hat = _weighted_sigma(dataset, beta, tau, method)
         U = smoothed_estimating_function(dataset, beta, state, gamma, sigma, tau)
@@ -394,7 +392,7 @@ def _fit_result(
 
 def _fit_wi(dataset: LongitudinalDataset, tau: float, config: SolverConfig) -> FitResult:
     beta_hat = _check_loss_minimizer(dataset.X, dataset.y, tau)
-    gamma, _ = _wi_weights(dataset, tau)
+    gamma = identity_sparsity(dataset)
     beta_root, state, sigma, _, iterations, converged = _newton_loop(
         dataset, tau, "WI", config, beta_hat, gamma
     )

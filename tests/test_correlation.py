@@ -205,3 +205,35 @@ def test_assemble_working_covariance_solves(rng):
     solved_b = cov.solve_blocks(4, blocks)
     recon = np.einsum("jk,gkp->gjp", sigma, solved_b)
     assert np.max(np.abs(recon - blocks)) < 1e-10
+
+    # unbalanced panels (1 to 12 occasions), a correlation that needed
+    # shrinking, lags at the clamp, and variances at the floor
+    ds = panel(
+        [
+            (np.column_stack([np.ones(n), rng.standard_normal(n)]), rng.standard_normal(n))
+            for n in rng.permutation(np.repeat(np.arange(1, 13), 3))
+        ]
+    )
+    clamped = np.resize([0.99, -0.99, 0.99, 0.99, -0.99], 11)
+    raw = build_stationary_correlation(clamped, 12)
+    assert np.linalg.eigvalsh(raw).min() < 0
+    floored = rng.uniform(0.05, 0.25, 12)
+    floored[::3] = 0.0
+    cases = [
+        (ScoreVariances(rng.uniform(0.05, 0.25, 12)), 0.8 ** np.arange(1, 12)),
+        (ScoreVariances(floored), clamped),
+    ]
+    assert np.any(cases[1][0].per_position == SIGMA_MIN)
+    for variances, lags in cases:
+        cov = assemble_working_covariance(variances, build_stationary_correlation(lags, 12), ds)
+        for n, idx, _, _, _ in ds.groups():
+            sigma = cov.subject_matrix(ds, idx[0])
+            vec = rng.standard_normal((idx.size, n))
+            want = np.linalg.solve(sigma, vec.T).T
+            got = cov.solve_vectors(n, vec)
+            assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want)), n
+            blocks = rng.standard_normal((idx.size, n, 3))
+            want_b = np.linalg.solve(sigma, blocks)
+            got_b = cov.solve_blocks(n, blocks)
+            assert np.max(np.abs(got_b - want_b)) <= 1e-8 * np.max(np.abs(want_b)), n
+    assert not np.array_equal(cov.correlation, raw)  # the shrinkage fired

@@ -72,6 +72,11 @@ def test_error_within_subject_correlation():
     assert abs(r) <= 0.02
 
 
+def test_sample_errors_rejects_unknown_case():
+    with pytest.raises(ValueError, match="bogus"):
+        sample_errors("bogus", 0.5, 4, 0.5, np.random.default_rng(0))
+
+
 def test_chisq_errors_are_skewed():
     rng = np.random.default_rng(11)
     draws = np.concatenate(
@@ -112,6 +117,22 @@ def test_generate_dataset_draw_order_and_design():
     eps = sub.responses - sub.covariates @ np.array(config.beta_true)
     z = np.linalg.cholesky(ar1_covariance(0.5, 4)) @ rng.standard_normal(4)
     assert np.allclose(eps, z - stats.norm.ppf(0.5), atol=1e-12)
+
+    # the stream contract, bit for bit: every subject of every error case
+    # replays as x1, x2, then sample_errors on the rest of its stream
+    beta = np.array(config.beta_true)
+    for case in ("normal", "chisq", "t"):
+        cfg = SimConfig(m=60, n=5, rho=0.7, error_case=case, taus=(0.25,),
+                        replications=3, master_seed=55)
+        ds = generate_dataset(cfg, 2, tau=0.95)
+        for i, sub in enumerate(ds.subjects):
+            rng = np.random.default_rng(np.random.SeedSequence([55, 2, i]))
+            x1 = (rng.random(5) < 0.5).astype(float)
+            x2 = rng.standard_normal(5)
+            X = np.column_stack([np.ones(5), x1, x2])
+            eps = sample_errors(case, 0.7, 5, 0.95, rng)
+            assert np.array_equal(sub.covariates, X), (case, i)
+            assert np.array_equal(sub.responses, X @ beta + eps), (case, i)
 
 
 def test_generate_dataset_centers_depend_on_tau():
