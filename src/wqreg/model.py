@@ -150,15 +150,11 @@ class FitResult:
     beta: np.ndarray  # coefficient estimates
     omega: np.ndarray  # estimated covariance of beta (sandwich)
     std_errors: np.ndarray  # sqrt of diag(omega)
-    iterations: int
+    iterations: int  # Newton iterations; for WI, Omega fixed-point updates
     converged: bool
     tau: float
     method: str  # "WI", "PQR" or "AQR"
     rho_hat: np.ndarray  # lag correlations; empty for WI
-    # root of the smoothed estimating equation at the final radii; for WI this
-    # differs from beta, the exact check-loss minimizer, and for PQR/AQR it
-    # equals beta
-    beta_root: np.ndarray | None = None
     n_obs: int = 0
     coefficient_names: list = field(default_factory=list)
 

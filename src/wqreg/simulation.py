@@ -9,9 +9,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import toeplitz
-from scipy.special import ndtr
-from scipy.stats import chi2, norm
-from scipy.stats import t as student_t
+from scipy.special import gammaincinv, ndtr, ndtri, stdtrit
 
 from .exceptions import DataError, SolverError
 from .model import LongitudinalDataset, Subject, check_tau
@@ -39,7 +37,7 @@ _CASE_ALIASES = {
     "t": "t",
     "t3": "t",
 }
-_Z95 = float(norm.ppf(0.975))
+_Z95 = float(ndtri(0.975))
 
 
 @dataclass
@@ -158,13 +156,15 @@ def _marginal_errors(case: str, z: np.ndarray, w, tau: float) -> np.ndarray:
 
     Elementwise in z, so one call transforms one subject's (n,) vector or a
     whole dataset's (m, n) stack with w of shape (m, 1), bit for bit alike.
+    The quantile functions are the scipy.special calls behind scipy.stats:
+    the chi-square(2) quantile is 2 P^-1(1, u), the t(3) one stdtrit(3, u).
     """
     if case == "normal":
-        return z - norm.ppf(tau)
+        return z - ndtri(tau)
     if case == "chisq":
         u = np.clip(ndtr(z), 1e-16, 1.0 - 1e-16)
-        return chi2.ppf(u, df=2) - chi2.ppf(tau, df=2)
-    return z / np.sqrt(w / 3.0) - student_t.ppf(tau, df=3)
+        return 2.0 * gammaincinv(1.0, u) - 2.0 * gammaincinv(1.0, tau)
+    return z / np.sqrt(w / 3.0) - stdtrit(3, tau)
 
 
 def sample_errors(case: str, rho: float, n: int, tau: float, rng: np.random.Generator) -> np.ndarray:

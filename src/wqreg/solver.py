@@ -2,17 +2,22 @@
 
 The estimating function, its Jacobian and the score covariance are shared
 by all methods; WI, PQR and AQR differ only in the weights they feed in
-(Gamma, C, sigma). One Newton loop with a joint Omega update drives all of
-them, and every converged fit gets one refinement phase: a final Newton
-pass at frozen weights so that ``beta_root`` is a machine-precision root of
-the smoothed equation.
+(Gamma, C, sigma). The weighted fits (PQR, AQR) run one Newton loop with a
+joint Omega update, and every converged weighted fit gets one refinement
+phase: a final Newton pass at frozen weights so that beta is a
+machine-precision root of the smoothed equation.
 
 The WI estimate itself is the exact minimizer of the check-loss objective,
-solved as the Koenker-Bassett linear program. Where that minimizer is not
-unique the optimal set is a face of the LP, and the WI fit returns the mean
-of the face's extreme points along each orthonormal direction in which it is
-flat; on an edge this is the midpoint. The Newton loop of the WI fit, started
-at the LP solution, supplies Omega for the sandwich standard errors.
+the Koenker-Bassett linear program. A Frisch-Newton interior point solves
+its dual, and the vertex it points at is checked exactly: when the check
+certifies it as the unique minimizer, it is the estimate. Otherwise (ties,
+degenerate vertices, a singular basis) HiGHS solves the dual LP; where the
+minimizer is not unique the optimal set is a face of the LP, and the fit
+returns the mean of the face's extreme points along each orthonormal
+direction in which it is flat, on an edge its midpoint. The WI standard
+errors come from the fixed point Omega = sandwich(beta, radii(Omega)) at
+that fixed beta. The Hendricks-Koenker weights of PQR and AQR use the exact
+minimizers at tau +/- h.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import null_space
 from scipy.optimize import linprog
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .correlation import (
     ScoreVariances,
@@ -69,6 +74,13 @@ RADII_FLOOR = 1e-12
 MAX_HALVINGS = 20
 INFLATE_MAX = 60  # radius inflation attempts before giving up on a step
 FLAT_TOL = 1e-9  # LP dual values this far inside (tau - 1, tau) mark zero residuals
+# Frisch-Newton interior point: iteration cap, relative duality gap at which
+# it stops, share of the step to the boundary taken, and the start's offset
+# of the multipliers from the residuals' positive and negative parts
+IPM_MAX_ITERATIONS = 100
+IPM_GAP_TOL = 1e-8
+IPM_STEP_FRACTION = 0.99995
+IPM_START_SHIFT = 1e-3
 
 
 @dataclass
@@ -195,7 +207,7 @@ def confidence_intervals(result: FitResult, level: float = 0.95) -> np.ndarray:
     """Per-coefficient Wald intervals beta_k +/- z (1+level)/2 * SE_k."""
     if not 0.0 < level < 1.0:
         raise ValueError("confidence level must lie in (0, 1)")
-    z = norm.ppf(0.5 * (1.0 + level))
+    z = ndtri(0.5 * (1.0 + level))
     half = z * result.std_errors
     return np.column_stack([result.beta - half, result.beta + half])
 
@@ -225,7 +237,7 @@ def _weighted_sigma(dataset: LongitudinalDataset, beta, tau: float, method: str)
 
 
 # ---------------------------------------------------------------------------
-# Newton loop with Omega update
+# Newton loop with Omega update (PQR, AQR)
 # ---------------------------------------------------------------------------
 
 
@@ -245,20 +257,22 @@ def _jacobian_with_inflation(dataset, beta, state, gamma, sigma, tau):
     raise SolverError("smoothed Jacobian stayed singular under radius inflation")
 
 
+def _initial_state(dataset):
+    return SmoothingState.from_omega(dataset, np.eye(dataset.p) / dataset.m)
+
+
+def _relative_change(new, old) -> float:
+    return float(np.linalg.norm(new - old) / max(np.linalg.norm(old), 1e-300))
+
+
 def _newton_loop(dataset, tau, method, config, beta0, gamma):
     beta = beta0.copy()
-    state = SmoothingState.from_omega(dataset, np.eye(dataset.p) / dataset.m)
-    sigma = None
-    rho_hat = np.empty(0)
+    state = _initial_state(dataset)
     converged = False
     iterations = 0
     for it in range(config.max_outer_iterations):
         iterations = it + 1
-        if method == "WI":
-            if sigma is None:
-                sigma = _wi_sigma(dataset, tau)
-        else:
-            sigma, rho_hat = _weighted_sigma(dataset, beta, tau, method)
+        sigma, rho_hat = _weighted_sigma(dataset, beta, tau, method)
         U = smoothed_estimating_function(dataset, beta, state, gamma, sigma, tau)
         G, state = _jacobian_with_inflation(dataset, beta, state, gamma, sigma, tau)
         step = np.linalg.solve(G, U)
@@ -276,8 +290,7 @@ def _newton_loop(dataset, tau, method, config, beta0, gamma):
         V = score_covariance(dataset, beta, state, gamma, sigma, tau)
         omega_new = _sandwich(G, V)
         delta_beta = float(np.max(np.abs(beta_new - beta)))
-        denom = max(np.linalg.norm(state.omega), 1e-300)
-        delta_omega = float(np.linalg.norm(omega_new - state.omega) / denom)
+        delta_omega = _relative_change(omega_new, state.omega)
         beta = beta_new
         state = SmoothingState.from_omega(dataset, omega_new)
         if delta_beta < config.beta_tolerance and delta_omega < config.omega_tolerance:
@@ -323,18 +336,111 @@ def _refine_root(dataset, beta, state, gamma, sigma, tau):
 # ---------------------------------------------------------------------------
 
 
+def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
+    """Largest step in [0, 1] that keeps v + step * dv nonnegative."""
+    down = dv < 0.0
+    return min(1.0, float(np.min(v[down] / -dv[down]))) if down.any() else 1.0
+
+
+def _interior_point(X: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
+    """Frisch-Newton interior point (Portnoy & Koenker, 1997) on the dual LP.
+
+    Solves max y'a subject to X'a = (1 - tau) X'1 and 0 <= a <= 1, the dual
+    of the check-loss problem in a = d + 1 - tau, by Mehrotra
+    predictor-corrector steps from the feasible start a = 1 - tau and the
+    least-squares beta. The multipliers w of a <= 1 and z of a >= 0 satisfy
+    w - z = y - X beta. Each step solves one p x p normal system. Returns a,
+    strictly inside (0, 1); raises LinAlgError on a singular normal system.
+    """
+    N = X.shape[0]
+    b = (1.0 - tau) * X.sum(axis=0)
+    a = np.full(N, 1.0 - tau)
+    s = np.full(N, tau)  # 1 - a, kept apart so that it stays positive
+    beta = np.linalg.lstsq(X, y, rcond=None)[0]
+    r = y - X @ beta
+    shift = IPM_START_SHIFT * (1.0 + np.mean(np.abs(r)))
+    w = np.maximum(r, 0.0) + shift
+    z = np.maximum(-r, 0.0) + shift
+    for _ in range(IPM_MAX_ITERATIONS):
+        gap = a @ z + s @ w
+        if gap <= IPM_GAP_TOL * (1.0 + abs(y @ a - (1.0 - tau) * y.sum())):
+            break
+        theta = 1.0 / (z / a + w / s)
+        normal = (X * theta[:, None]).T @ X
+        rb = b - X.T @ a
+        rc = y - X @ beta - w + z
+
+        def direction(raz, rsw):
+            q = rc + raz / a - rsw / s
+            dbeta = np.linalg.solve(normal, X.T @ (theta * q) - rb)
+            da = theta * (q - X @ dbeta)
+            return da, dbeta, (raz - z * da) / a, (rsw + w * da) / s
+
+        # predictor: the affine-scaling direction, then its centring target
+        da, dbeta, dz, dw = direction(-a * z, -s * w)
+        ap = min(_max_step(a, da), _max_step(s, -da))
+        ad = min(_max_step(z, dz), _max_step(w, dw))
+        gap_aff = (a + ap * da) @ (z + ad * dz) + (s - ap * da) @ (w + ad * dw)
+        mu = (gap_aff / gap) ** 3 * gap / (2 * N)
+        # corrector with the second-order terms of the predictor
+        da, dbeta, dz, dw = direction(mu - a * z - da * dz, mu - s * w + da * dw)
+        ap = IPM_STEP_FRACTION * min(_max_step(a, da), _max_step(s, -da))
+        ad = IPM_STEP_FRACTION * min(_max_step(z, dz), _max_step(w, dw))
+        a, s = a + ap * da, s - ap * da
+        beta, z, w = beta + ad * dbeta, z + ad * dz, w + ad * dw
+    return a
+
+
+def _certified_vertex(X: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray | None:
+    """The vertex the interior point points at, if it is the unique minimizer.
+
+    The p rows that the interior solution leaves furthest inside (0, 1) give
+    the vertex X_h b = y_h. With every other residual non-zero and d_o = tau
+    or tau - 1 by its sign, the d_h solving X_h'd_h = -X_o'd_o make d a dual
+    solution; when they lie strictly inside (tau - 1, tau), every direction
+    away from b raises the check loss, so b is the unique minimizer
+    (Koenker & Bassett, 1978). Returns None when the check fails: at ties,
+    degenerate vertices and (nearly) singular X_h.
+    """
+    p = X.shape[1]
+    try:
+        a = _interior_point(X, y, tau)
+    except np.linalg.LinAlgError:
+        return None
+    h = np.argpartition(-np.minimum(a, 1.0 - a), p - 1)[:p]
+    Xh = X[h]
+    sv = np.linalg.svd(Xh, compute_uv=False)
+    # d_h carries a rounding error of about cond(X_h) * eps; FLAT_TOL must cover it
+    if not sv[-1] * FLAT_TOL > sv[0] * np.finfo(float).eps:
+        return None
+    beta = np.linalg.solve(Xh, y[h])
+    other = np.ones(X.shape[0], dtype=bool)
+    other[h] = False
+    r = y[other] - X[other] @ beta
+    if np.any(r == 0.0):
+        return None
+    d_h = np.linalg.solve(Xh.T, -(X[other].T @ np.where(r > 0.0, tau, tau - 1.0)))
+    if np.all((d_h > tau - 1.0 + FLAT_TOL) & (d_h < tau - FLAT_TOL)):
+        return beta
+    return None
+
+
 def _check_loss_minimizer(X: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
     """Exact minimizer of the check-loss objective (Koenker & Bassett, 1978).
 
-    HiGHS solves the dual LP, max y'd subject to X'd = 0 and
-    tau - 1 <= d <= tau; beta is the negated multiplier of X'd = 0. The
-    minimizer is not unique when the optimal set is a face of the LP. With
-    Z the rows whose d lies strictly inside its bounds and r = y - X b, that
-    face is X_Z b = y_Z, r_i >= 0 where d_i = tau, r_i <= 0 where
-    d_i = tau - 1. For each orthonormal direction v of the null space of
-    X_Z, two small LPs find the face's extreme points in v'b; their mean is
-    returned, which on an edge is its midpoint.
+    The certified interior-point vertex when there is one. Otherwise HiGHS
+    solves the dual LP, max y'd subject to X'd = 0 and tau - 1 <= d <= tau;
+    beta is the negated multiplier of X'd = 0. The minimizer is not unique
+    when the optimal set is a face of the LP. With Z the rows whose d lies
+    strictly inside its bounds and r = y - X b, that face is X_Z b = y_Z,
+    r_i >= 0 where d_i = tau, r_i <= 0 where d_i = tau - 1. For each
+    orthonormal direction v of the null space of X_Z, two small LPs find the
+    face's extreme points in v'b; their mean is returned, which on an edge is
+    its midpoint.
     """
+    vertex = _certified_vertex(X, y, tau)
+    if vertex is not None:
+        return vertex
     p = X.shape[1]
     res = linprog(-y, A_eq=X.T, b_eq=np.zeros(p), bounds=(tau - 1.0, tau), method="highs")
     if res.status != 0:
@@ -362,28 +468,21 @@ def _check_loss_minimizer(X: np.ndarray, y: np.ndarray, tau: float) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 
-def _fit_result(
-    dataset, tau, method, beta, beta_root, state, gamma, sigma, rho_hat, iterations, converged
-):
-    """FitResult with sandwich SEs at beta; a failed sandwich gives NaN SEs
-    and clears ``converged``, so a converged fit always has finite SEs."""
-    try:
-        omega = sandwich_covariance(dataset, beta, state, gamma, sigma, tau)
-        std_errors = np.sqrt(np.maximum(np.diag(omega), 0.0))
-    except (SolverError, np.linalg.LinAlgError):
+def _fit_result(dataset, tau, method, beta, omega, state, gamma, sigma, rho_hat, iterations, converged):
+    """FitResult with SEs from omega; a failed sandwich (omega None) gives NaN
+    SEs and clears ``converged``, so a converged fit always has finite SEs."""
+    if omega is None:
         omega = np.full((dataset.p, dataset.p), np.nan)
-        std_errors = np.full(dataset.p, np.nan)
         converged = False
     result = FitResult(
         beta=beta,
         omega=omega,
-        std_errors=std_errors,
+        std_errors=np.sqrt(np.maximum(np.diag(omega), 0.0)),
         iterations=iterations,
         converged=converged,
         tau=tau,
         method=method,
         rho_hat=rho_hat,
-        beta_root=beta_root,
         n_obs=dataset.n_obs,
     )
     result._context = {"state": state, "gamma": gamma, "sigma": sigma}
@@ -391,16 +490,25 @@ def _fit_result(
 
 
 def _fit_wi(dataset: LongitudinalDataset, tau: float, config: SolverConfig) -> FitResult:
-    beta_hat = _check_loss_minimizer(dataset.X, dataset.y, tau)
+    """Exact check-loss minimizer with SEs from the Omega fixed point.
+
+    At the fixed beta, Omega <- sandwich(beta, radii(Omega)) from I/m until
+    its relative change is below ``omega_tolerance``; ``converged`` means
+    Omega is a verified fixed point and ``iterations`` counts the updates.
+    """
+    beta = _check_loss_minimizer(dataset.X, dataset.y, tau)
     gamma = identity_sparsity(dataset)
-    beta_root, state, sigma, _, iterations, converged = _newton_loop(
-        dataset, tau, "WI", config, beta_hat, gamma
-    )
-    if converged:
-        beta_root = _refine_root(dataset, beta_root, state, gamma, sigma, tau)
+    sigma = _wi_sigma(dataset, tau)
+    state = _initial_state(dataset)
+    for it in range(config.max_outer_iterations):
+        G, state = _jacobian_with_inflation(dataset, beta, state, gamma, sigma, tau)
+        omega = _sandwich(G, score_covariance(dataset, beta, state, gamma, sigma, tau))
+        converged = _relative_change(omega, state.omega) < config.omega_tolerance
+        state = SmoothingState.from_omega(dataset, omega)
+        if converged:
+            break
     return _fit_result(
-        dataset, tau, "WI", beta_hat, beta_root, state, gamma, sigma, np.empty(0),
-        iterations, converged,
+        dataset, tau, "WI", beta, omega, state, gamma, sigma, np.empty(0), it + 1, converged
     )
 
 
@@ -417,9 +525,12 @@ def _fit_weighted(
     )
     if converged:
         beta = _refine_root(dataset, beta, state, gamma, sigma, tau)
+    try:
+        omega = sandwich_covariance(dataset, beta, state, gamma, sigma, tau)
+    except (SolverError, np.linalg.LinAlgError):
+        omega = None
     return _fit_result(
-        dataset, tau, method, beta, beta.copy(), state, gamma, sigma, rho_hat,
-        iterations, converged,
+        dataset, tau, method, beta, omega, state, gamma, sigma, rho_hat, iterations, converged
     )
 
 
@@ -427,13 +538,14 @@ def _gamma_for(dataset, tau, config) -> SparsityWeights:
     if config.gamma_mode == "identity":
         return identity_sparsity(dataset)
     h = hall_sheather_bandwidth(tau, dataset.n_obs)
-    fit_lo = _fit_wi(dataset, tau - h, config)
-    fit_hi = _fit_wi(dataset, tau + h, config)
-    if not (fit_lo.converged and fit_hi.converged):
-        # quantile-crossing or a failed auxiliary fit: fall back to unit
-        # weights, which the estimator tolerates at some efficiency cost
+    try:
+        beta_lo = _check_loss_minimizer(dataset.X, dataset.y, tau - h)
+        beta_hi = _check_loss_minimizer(dataset.X, dataset.y, tau + h)
+    except SolverError:
+        # a failed auxiliary LP: fall back to unit weights, which the
+        # estimator tolerates at some efficiency cost
         return identity_sparsity(dataset)
-    return estimate_sparsity_hk(dataset, tau, h, fit_lo, fit_hi)
+    return estimate_sparsity_hk(dataset, tau, h, beta_lo, beta_hi)
 
 
 def fit_many(

@@ -1,9 +1,9 @@
 """Density weights for the Gamma_i diagonal.
 
 Estimates the error density at zero for every observation by the
-Hendricks-Koenker difference quotient between two auxiliary quantile fits
-at tau +/- h, with bounded guards so the weights never blow up at quantile
-crossings. Identity weights are available as the cheap alternative.
+Hendricks-Koenker difference quotient between the exact check-loss
+minimizers at tau +/- h, with bounded guards so the weights never blow up at
+quantile crossings. Identity weights are available as the cheap alternative.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .exceptions import DataError
 from .model import LongitudinalDataset, check_tau
@@ -28,6 +28,7 @@ __all__ = [
 D_MIN = 1e-6
 F_MIN = 1e-3
 F_MAX = 1e3
+_Z975 = float(ndtri(0.975))
 
 
 @dataclass
@@ -51,9 +52,10 @@ def hall_sheather_bandwidth(tau: float, n_obs: int) -> float:
     tau = check_tau(tau)
     if n_obs < 10:
         raise DataError(f"bandwidth needs at least 10 observations, got {n_obs}")
-    q = norm.ppf(tau)
-    bracket = 1.5 * norm.pdf(q) ** 2 / (2.0 * q * q + 1.0)
-    h = n_obs ** (-1.0 / 3.0) * norm.ppf(0.975) ** (2.0 / 3.0) * bracket ** (1.0 / 3.0)
+    q = ndtri(tau)
+    # phi(q)^2 = exp(-q^2) / (2 pi)
+    bracket = 1.5 * np.exp(-q * q) / (2.0 * np.pi) / (2.0 * q * q + 1.0)
+    h = n_obs ** (-1.0 / 3.0) * _Z975 ** (2.0 / 3.0) * bracket ** (1.0 / 3.0)
     h = min(h, tau - 0.01, 0.99 - tau)
     if h <= 0.0:
         raise DataError(f"quantile level {tau} too extreme for bandwidth selection")
@@ -64,19 +66,18 @@ def estimate_sparsity_hk(
     dataset: LongitudinalDataset,
     tau: float,
     h: float,
-    fit_lo,
-    fit_hi,
+    beta_lo: np.ndarray,
+    beta_hi: np.ndarray,
 ) -> SparsityWeights:
     """Hendricks-Koenker density estimates 2h / (x_ij'(beta_hi - beta_lo)).
 
-    fit_lo and fit_hi are converged WI fits at tau - h and tau + h. Invalid
+    beta_lo and beta_hi are quantile regression coefficients at tau - h and
+    tau + h; the solver passes the exact check-loss minimizers. Invalid
     denominators (quantile crossing) fall back to the median of the valid
     weights, or 1 when none are valid.
     """
     check_tau(tau)
-    if not (fit_lo.converged and fit_hi.converged):
-        raise ValueError("auxiliary fits must be converged")
-    d = dataset.X @ (fit_hi.beta - fit_lo.beta)
+    d = dataset.X @ (np.asarray(beta_hi, dtype=float) - np.asarray(beta_lo, dtype=float))
     valid = d >= D_MIN
     f = np.empty(dataset.n_obs)
     f[valid] = np.clip(2.0 * h / d[valid], F_MIN, F_MAX)

@@ -1,9 +1,16 @@
 """Data generation, replication harness, and summary metrics."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import ndtr
 
+import wqreg
 from wqreg import (
     ReplicationRecord,
     SimConfig,
@@ -14,6 +21,7 @@ from wqreg import (
     sample_errors,
     summarize,
 )
+from wqreg.simulation import _marginal_errors
 
 
 def test_sim_config_validation():
@@ -75,6 +83,31 @@ def test_error_within_subject_correlation():
 def test_sample_errors_rejects_unknown_case():
     with pytest.raises(ValueError, match="bogus"):
         sample_errors("bogus", 0.5, 4, 0.5, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("tau", [0.05, 0.25, 0.5, 0.83, 0.95])
+def test_marginal_errors_equal_the_scipy_stats_formulas(tau):
+    rng = np.random.default_rng(11)
+    z = 3.0 * rng.standard_normal((500, 6))
+    w = rng.chisquare(3, (500, 1))
+    u = np.clip(ndtr(z), 1e-16, 1.0 - 1e-16)
+    expected = {
+        "normal": z - stats.norm.ppf(tau),
+        "chisq": stats.chi2.ppf(u, df=2) - stats.chi2.ppf(tau, df=2),
+        "t": z / np.sqrt(w / 3.0) - stats.t.ppf(tau, df=3),
+    }
+    for case, ref in expected.items():
+        assert np.array_equal(_marginal_errors(case, z, w, tau), ref)
+
+
+def test_package_import_leaves_scipy_stats_unloaded():
+    code = "import sys, wqreg, wqreg.cli; print('scipy.stats' in sys.modules)"
+    src = str(Path(wqreg.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_chisq_errors_are_skewed():

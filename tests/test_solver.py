@@ -299,10 +299,14 @@ def test_newton_fixed_point_at_reported_root():
         res = fit(ds, 0.5, method)
         assert res.converged
         ctx = res._context
-        U = smoothed_estimating_function(
-            ds, res.beta_root, ctx["state"], ctx["gamma"], ctx["sigma"], 0.5
-        )
-        assert np.max(np.abs(U)) <= 1e-6
+        args = (ds, res.beta, ctx["state"], ctx["gamma"], ctx["sigma"], 0.5)
+        if method == "WI":
+            # Omega reproduces itself under the sandwich at its own radii
+            assert np.array_equal(ctx["state"].omega, res.omega)
+            again = sandwich_covariance(*args)
+            assert np.linalg.norm(again - res.omega) <= 1e-6 * np.linalg.norm(res.omega)
+        else:
+            assert np.max(np.abs(smoothed_estimating_function(*args))) <= 1e-6
 
 
 def test_wi_equivariance(rng):
@@ -330,6 +334,23 @@ def test_wi_equivariance(rng):
     assert np.max(np.abs(res_scale.beta - c * base.beta)) < 1e-6 * c
 
 
+def smoothed_wi_root(ds, tau, beta):
+    """Joint root of the smoothed WI equation and its Omega fixed point:
+    Newton steps in beta with Omega <- sandwich(beta, radii(Omega))."""
+    gamma, sigma = wi_weights(ds, tau)
+    state = SmoothingState.from_omega(ds, np.eye(ds.p) / ds.m)
+    for _ in range(200):
+        U = smoothed_estimating_function(ds, beta, state, gamma, sigma, tau)
+        step = np.linalg.solve(smoothed_jacobian(ds, beta, state, gamma, sigma, tau), U)
+        omega = sandwich_covariance(ds, beta, state, gamma, sigma, tau)
+        change = np.linalg.norm(omega - state.omega) / np.linalg.norm(state.omega)
+        beta = beta + step
+        state = SmoothingState.from_omega(ds, omega)
+        if np.max(np.abs(step)) < 1e-10 and change < 1e-10:
+            return beta
+    raise AssertionError("smoothed WI root did not converge")
+
+
 def test_wi_pqr_coincide_at_zero_lags(rng, monkeypatch):
     ds = random_dataset(rng, 50, 3, 2)
     monkeypatch.setattr(
@@ -337,7 +358,9 @@ def test_wi_pqr_coincide_at_zero_lags(rng, monkeypatch):
     )
     config = SolverConfig(gamma_mode="identity")
     fits = fit_many(ds, 0.5, ["WI", "PQR"], config)
-    assert np.max(np.abs(fits["PQR"].beta - fits["WI"].beta_root)) <= 1e-6
+    # at zero lags and unit weights PQR solves the smoothed WI equation
+    root = smoothed_wi_root(ds, 0.5, fits["WI"].beta)
+    assert np.max(np.abs(fits["PQR"].beta - root)) <= 1e-6
 
 
 def test_smoothing_equivalence_on_fixed_dataset(rng):

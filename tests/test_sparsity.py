@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+import wqreg.solver as solver_mod
 from wqreg import (
     DataError,
-    FitResult,
     SimConfig,
+    SolverConfig,
+    SolverError,
     estimate_sparsity_hk,
     fit,
     generate_dataset,
@@ -18,21 +20,6 @@ from wqreg.sparsity import F_MAX, F_MIN
 from conftest import scalar_dataset
 
 PHI0 = 0.3989423
-
-
-def make_fit(beta, converged=True):
-    beta = np.asarray(beta, dtype=float)
-    p = beta.size
-    return FitResult(
-        beta=beta,
-        omega=np.eye(p),
-        std_errors=np.ones(p),
-        iterations=1,
-        converged=converged,
-        tau=0.5,
-        method="WI",
-        rho_hat=np.empty(0),
-    )
 
 
 def test_hall_sheather_median_value():
@@ -55,7 +42,7 @@ def test_hall_sheather_needs_data():
 def test_hk_unit_density():
     ds = scalar_dataset([1.0, 2.0, 3.0])
     h = 0.05
-    w = estimate_sparsity_hk(ds, 0.5, h, make_fit([0.0]), make_fit([2 * h]))
+    w = estimate_sparsity_hk(ds, 0.5, h, [0.0], [2 * h])
     assert np.allclose(w.values, 1.0)
     assert w.mode == "hk"
 
@@ -63,7 +50,7 @@ def test_hk_unit_density():
 def test_hk_crossing_falls_back():
     ds = scalar_dataset([1.0, 2.0, 3.0])
     # zero difference everywhere: no valid denominators, weights fall to 1
-    w = estimate_sparsity_hk(ds, 0.5, 0.05, make_fit([1.0]), make_fit([1.0]))
+    w = estimate_sparsity_hk(ds, 0.5, 0.05, [1.0], [1.0])
     assert np.all(np.isfinite(w.values))
     assert np.allclose(w.values, 1.0)
 
@@ -79,24 +66,34 @@ def test_hk_partial_crossing_uses_median():
         ]
     )
     h = 0.05
-    lo, hi = make_fit([0.0, 0.0]), make_fit([2 * h, -2 * h])
-    w = estimate_sparsity_hk(ds, 0.5, h, lo, hi)
+    w = estimate_sparsity_hk(ds, 0.5, h, np.array([0.0, 0.0]), np.array([2 * h, -2 * h]))
     assert w.values[0] == pytest.approx(1.0)
     assert w.values[1] == pytest.approx(1.0)  # median of the single valid weight
 
 
 def test_hk_clamped_range():
     ds = scalar_dataset([1.0, 2.0])
-    w_small = estimate_sparsity_hk(ds, 0.5, 0.05, make_fit([0.0]), make_fit([1e9]))
+    w_small = estimate_sparsity_hk(ds, 0.5, 0.05, [0.0], [1e9])
     assert np.all(w_small.values >= F_MIN)
-    w_big = estimate_sparsity_hk(ds, 0.5, 0.05, make_fit([0.0]), make_fit([1e-5]))
+    w_big = estimate_sparsity_hk(ds, 0.5, 0.05, [0.0], [1e-5])
     assert np.all(w_big.values <= F_MAX)
 
 
-def test_hk_requires_converged_fits():
-    ds = scalar_dataset([1.0, 2.0])
-    with pytest.raises(ValueError):
-        estimate_sparsity_hk(ds, 0.5, 0.05, make_fit([0.0], converged=False), make_fit([0.1]))
+def test_hk_falls_back_to_identity_when_an_lp_fails(monkeypatch):
+    ds = scalar_dataset(np.linspace(0.0, 1.0, 40))
+    exact = solver_mod._check_loss_minimizer
+    assert solver_mod._gamma_for(ds, 0.5, SolverConfig()).mode == "hk"
+
+    def fail_above_median(X, y, tau):
+        if tau > 0.5:
+            raise SolverError("check-loss LP failed")
+        return exact(X, y, tau)
+
+    # the LP at tau + h fails, the one at tau - h does not
+    monkeypatch.setattr(solver_mod, "_check_loss_minimizer", fail_above_median)
+    w = solver_mod._gamma_for(ds, 0.5, SolverConfig())
+    assert w.mode == "identity"
+    assert np.all(w.values == 1.0)
 
 
 def test_identity_sparsity():
@@ -113,7 +110,7 @@ def _mean_hk_weight(m, seed=7):
     h = hall_sheather_bandwidth(0.5, ds.n_obs)
     lo = fit(ds, 0.5 - h, "WI")
     hi = fit(ds, 0.5 + h, "WI")
-    w = estimate_sparsity_hk(ds, 0.5, h, lo, hi)
+    w = estimate_sparsity_hk(ds, 0.5, h, lo.beta, hi.beta)
     return float(np.mean(w.values))
 
 
