@@ -18,7 +18,7 @@ from importlib.metadata import PackageNotFoundError, version
 import numpy as np
 
 from .exceptions import DataError, SchemaError, SolverError, WqregError
-from .model import LongitudinalDataset, Subject
+from .model import LongitudinalDataset, Subject, check_tau
 from .simulation import SimConfig, run_study
 from .solver import SolverConfig, confidence_intervals, fit
 
@@ -164,16 +164,16 @@ def _load_csv_details(path: str, spec: FitCommandSpec):
         )
         for sid, rows in groups.items()
     ]
-    return LongitudinalDataset(subjects), dropped
+    dataset = LongitudinalDataset(subjects)
+    if dropped:
+        print(f"warning: dropped {dropped} rows with missing or non-numeric fields", file=sys.stderr)
+    return dataset, dropped
 
 
 def load_csv(path: str, spec: FitCommandSpec) -> LongitudinalDataset:
     """Long-format CSV to dataset: grouped by id in first-appearance order,
     rows with missing or non-numeric required fields dropped with a warning."""
-    dataset, dropped = _load_csv_details(path, spec)
-    if dropped:
-        print(f"warning: dropped {dropped} rows with missing or non-numeric fields", file=sys.stderr)
-    return dataset
+    return _load_csv_details(path, spec)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +187,6 @@ def run_fit_command(spec: FitCommandSpec) -> ReportDocument:
     if not spec.covariates and not spec.intercept:
         raise SchemaError("need at least one covariate or an intercept")
     dataset, dropped = _load_csv_details(spec.data, spec)
-    if dropped:
-        print(f"warning: dropped {dropped} rows with missing or non-numeric fields", file=sys.stderr)
     names = spec.design_names()
     config = SolverConfig(gamma_mode=spec.gamma_mode)
     metadata = {
@@ -416,9 +414,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.precision < 1:
+            raise SchemaError(f"precision must be at least 1, got {args.precision}")
         if args.command == "fit":
             try:
-                taus = _parse_float_list(args.tau, "tau")
+                taus = [check_tau(t) for t in _parse_float_list(args.tau, "tau")]
             except ValueError as exc:
                 raise SchemaError(str(exc)) from exc
             spec = FitCommandSpec(
@@ -440,7 +440,7 @@ def main(argv=None) -> int:
         else:
             options = {} if args.config is None else _read_config_file(args.config)
             for key in _SIM_DEFAULTS:
-                flag = getattr(args, "reps" if key == "reps" else key, None)
+                flag = getattr(args, key, None)
                 if flag is not None:
                     options[key] = str(flag)
             run_simulate_command(options, args.out, args.precision)

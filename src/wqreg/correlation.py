@@ -2,9 +2,11 @@
 
 Builds Sigma_i = A_i^{1/2} C(rho) A_i^{1/2} from per-occasion score
 variances and the stationary lag-correlation moment estimator. Subjects
-with the same occasion count share one Sigma_n, so the working covariance
-forms Sigma_n^{-1} once per update, from its Cholesky factor, and the
-solver applies it by a plain matrix product on every kernel evaluation.
+with the same occasion count share one Sigma_n, the leading block of the
+full Sigma, so the working covariance factors the full Sigma once per
+update, forms every Sigma_n^{-1} from the inverse of that one Cholesky
+factor, and the solver applies it by a plain matrix product on every
+kernel evaluation.
 """
 
 from __future__ import annotations
@@ -112,16 +114,14 @@ def estimate_lag_correlations(dataset: LongitudinalDataset, scores: np.ndarray) 
     if np.all(scores == 0.0):
         raise DataError("all standardized scores are zero")
     den = float(scores @ scores) / dataset.n_obs
-    lags = dataset.max_n - 1
-    num_sum = np.zeros(lags)
-    pair_count = np.zeros(lags)
-    for n, idx, obs, _, _ in dataset.groups():
-        sg = scores[obs]  # (g, n)
-        for lag in range(1, n):
-            num_sum[lag - 1] += float((sg[:, :-lag] * sg[:, lag:]).sum())
-            pair_count[lag - 1] += idx.size * (n - lag)
-    rho = (num_sum / pair_count) / den
-    return np.clip(rho, -LAG_CLAMP, LAG_CLAMP)
+    positions = dataset.positions
+    rho = np.empty(dataset.max_n - 1)
+    for lag in range(1, dataset.max_n):
+        # flat row k + lag is in row k's subject exactly when it sits at
+        # position lag or later
+        pair = positions[lag:] >= lag
+        rho[lag - 1] = (scores[:-lag] * scores[lag:]) @ pair / np.count_nonzero(pair)
+    return np.clip(rho / den, -LAG_CLAMP, LAG_CLAMP)
 
 
 def build_stationary_correlation(rho: np.ndarray, n: int) -> np.ndarray:
@@ -159,34 +159,32 @@ def regularize_correlation(C: np.ndarray) -> np.ndarray:
 class WorkingCovariance:
     """Per-subject Sigma_i with one shared inverse per occasion count.
 
-    The inverse of each occasion group's Sigma_n is formed once here, from
-    its Cholesky factor, and symmetrised. U, G and V apply it to every
-    subject of the group on every evaluation, so each solve is one numpy
-    matrix product and no LAPACK call runs per evaluation. Sigma_n has one
-    row per occasion and a regularised correlation, so the explicit inverse
-    loses no accuracy that matters. A LAPACK solve per evaluation costs
-    more than the product, and in a process pool each worker's LAPACK
-    threads contend with the other workers for the cores.
+    Sigma_n is the leading n x n block of the full Sigma, so with L the
+    Cholesky factor of the full Sigma (which also rejects a Sigma that is
+    not PD), Sigma_n^{-1} = L_n^{-T} L_n^{-1}, symmetrised, where L_n^{-1}
+    is the leading block of L^{-1}: one factor and one inverse per update
+    serve every group. U, G and V apply it to every subject
+    of the group on every evaluation, so each solve is one numpy matrix
+    product and no LAPACK call runs per evaluation. Sigma has one row per
+    occasion and a regularised correlation, so the explicit inverse loses no
+    accuracy that matters. A LAPACK solve per evaluation costs more than the
+    product, and in a process pool each worker's LAPACK threads contend
+    with the other workers for the cores.
     """
 
     def __init__(self, variances: ScoreVariances, correlation: np.ndarray,
-                 dataset: LongitudinalDataset, lag_correlations: np.ndarray | None = None):
+                 dataset: LongitudinalDataset):
         self.variances = variances
         self.correlation = np.asarray(correlation, dtype=float)
-        self.lag_correlations = (
-            np.empty(0) if lag_correlations is None else np.asarray(lag_correlations, float)
-        )
         max_n = dataset.max_n
         if self.correlation.shape != (max_n, max_n):
             raise ValueError("correlation matrix does not match the occasion count")
         sd = np.sqrt(variances.per_position[:max_n])
-        full = sd[:, None] * self.correlation * sd[None, :]
-        self._full = full
+        self._full = sd[:, None] * self.correlation * sd[None, :]
+        l_inv = np.linalg.inv(np.linalg.cholesky(self._full))
         self._inverse = {}
         for n, _, _, _, _ in dataset.groups():
-            # the Cholesky factor also rejects a Sigma_n that is not PD
-            l_inv = np.linalg.inv(np.linalg.cholesky(full[:n, :n]))
-            inverse = l_inv.T @ l_inv
+            inverse = l_inv[:n, :n].T @ l_inv[:n, :n]
             self._inverse[n] = 0.5 * (inverse + inverse.T)
 
     def subject_matrix(self, dataset: LongitudinalDataset, i: int) -> np.ndarray:
@@ -211,8 +209,6 @@ def assemble_working_covariance(
     variances: ScoreVariances,
     correlation: np.ndarray,
     dataset: LongitudinalDataset,
-    lag_correlations: np.ndarray | None = None,
 ) -> WorkingCovariance:
     """Build Sigma_i = A^{1/2} C A^{1/2} with its per-group inverses."""
-    C = regularize_correlation(correlation)
-    return WorkingCovariance(variances, C, dataset, lag_correlations)
+    return WorkingCovariance(variances, regularize_correlation(correlation), dataset)

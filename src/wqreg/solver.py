@@ -2,10 +2,13 @@
 
 The estimating function, its Jacobian and the score covariance are shared
 by all methods; WI, PQR and AQR differ only in the weights they feed in
-(Gamma, C, sigma). The weighted fits (PQR, AQR) run one Newton loop with a
-joint Omega update, and every converged weighted fit gets one refinement
-phase: a final Newton pass at frozen weights so that beta is a
-machine-precision root of the smoothed equation.
+(Gamma, C, sigma); U~ = sum_i v_i and cov(U~) = sum_i v_i v_i' come from
+one pass over the per-subject terms v_i. The weighted fits (PQR, AQR) run
+one Newton loop with a joint Omega update, forming G~, U~ and cov(U~) at
+one smoothing state per iteration, and every converged weighted fit gets
+one refinement phase: a final Newton pass at frozen weights so that beta
+is a machine-precision root of the smoothed equation. Both take the same
+Newton step with one halving line search.
 
 The WI estimate itself is the exact minimizer of the check-loss objective,
 the Koenker-Bassett linear program. A Frisch-Newton interior point solves
@@ -123,6 +126,16 @@ def _radii(X: np.ndarray, omega: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _score_terms(dataset, beta, state, gamma, sigma, tau) -> np.ndarray:
+    """Per-subject v_i = X_i' Gamma_i Sigma_i^{-1} psi~(y_i - X_i beta), one row each."""
+    psi = smoothed_score(dataset.y - dataset.X @ beta, state.radii, tau)
+    v = np.empty((dataset.m, dataset.p))
+    for n, idx, obs, Xg, _ in dataset.groups():
+        q = sigma.solve_vectors(n, psi[obs])
+        v[idx] = np.einsum("gnp,gn->gp", Xg, gamma.values[obs] * q)
+    return v
+
+
 def smoothed_estimating_function(
     dataset: LongitudinalDataset,
     beta: np.ndarray,
@@ -132,12 +145,7 @@ def smoothed_estimating_function(
     tau: float,
 ) -> np.ndarray:
     """U~(beta) = sum_i X_i' Gamma_i Sigma_i^{-1} psi~(y_i - X_i beta)."""
-    psi = smoothed_score(dataset.y - dataset.X @ beta, state.radii, tau)
-    U = np.zeros(dataset.p)
-    for n, _, obs, Xg, _ in dataset.groups():
-        q = sigma.solve_vectors(n, psi[obs])
-        U += np.einsum("gnp,gn->p", Xg, gamma.values[obs] * q)
-    return U
+    return _score_terms(dataset, beta, state, gamma, sigma, tau).sum(axis=0)
 
 
 def smoothed_jacobian(
@@ -173,13 +181,8 @@ def score_covariance(
     tau: float,
 ) -> np.ndarray:
     """cov(U~) = sum_i v_i v_i' with v_i = X_i' Gamma_i Sigma_i^{-1} psi~_i."""
-    psi = smoothed_score(dataset.y - dataset.X @ beta, state.radii, tau)
-    V = np.zeros((dataset.p, dataset.p))
-    for n, _, obs, Xg, _ in dataset.groups():
-        q = sigma.solve_vectors(n, psi[obs])
-        v = np.einsum("gnp,gn->gp", gamma.values[obs][:, :, None] * Xg, q)
-        V += v.T @ v
-    return V
+    v = _score_terms(dataset, beta, state, gamma, sigma, tau)
+    return v.T @ v
 
 
 def _sandwich(G: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -233,7 +236,7 @@ def _weighted_sigma(dataset: LongitudinalDataset, beta, tau: float, method: str)
     else:
         rho = np.empty(0)
     C = build_stationary_correlation(rho, dataset.max_n)
-    return assemble_working_covariance(variances, C, dataset, rho), rho
+    return assemble_working_covariance(variances, C, dataset), rho
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +249,9 @@ def _jacobian_with_inflation(dataset, beta, state, gamma, sigma, tau):
 
     When every residual sits far outside its smoothing radius the Gaussian
     kernel underflows and G~ degenerates. Inflating Omega widens the radii
-    until the system is invertible again; the subsequent Omega update
-    overwrites the inflated value.
+    until the system is invertible again. The returned state carries the
+    radii G~ was formed at; the caller evaluates U~ and cov(U~) at the same
+    state, and its Omega update then overwrites the inflated value.
     """
     for _ in range(INFLATE_MAX):
         try:
@@ -265,30 +269,34 @@ def _relative_change(new, old) -> float:
     return float(np.linalg.norm(new - old) / max(np.linalg.norm(old), 1e-300))
 
 
+def _newton_step(dataset, beta, U, G, state, gamma, sigma, tau):
+    """Newton step for U~ = 0 from beta, halved until |U~| falls.
+
+    Returns the accepted beta with U~ there. When MAX_HALVINGS trials never
+    lower |U~|, returns the step halved once more and None in place of U~.
+    """
+    step = np.linalg.solve(G, U)
+    norm0 = np.linalg.norm(U)
+    for k in range(MAX_HALVINGS):
+        trial = beta + 0.5**k * step
+        U_trial = smoothed_estimating_function(dataset, trial, state, gamma, sigma, tau)
+        if np.linalg.norm(U_trial) < norm0:
+            return trial, U_trial
+    return beta + 0.5**MAX_HALVINGS * step, None
+
+
 def _newton_loop(dataset, tau, method, config, beta0, gamma):
+    """Newton in beta with Sigma and Omega re-estimated at every iteration;
+    a step whose halvings run out is taken anyway."""
     beta = beta0.copy()
     state = _initial_state(dataset)
     converged = False
-    iterations = 0
     for it in range(config.max_outer_iterations):
-        iterations = it + 1
         sigma, rho_hat = _weighted_sigma(dataset, beta, tau, method)
-        U = smoothed_estimating_function(dataset, beta, state, gamma, sigma, tau)
         G, state = _jacobian_with_inflation(dataset, beta, state, gamma, sigma, tau)
-        step = np.linalg.solve(G, U)
-        norm0 = np.linalg.norm(U)
-        scale = 1.0
-        for _ in range(MAX_HALVINGS):
-            trial = smoothed_estimating_function(
-                dataset, beta + scale * step, state, gamma, sigma, tau
-            )
-            if np.linalg.norm(trial) <= norm0:
-                break
-            scale *= 0.5
-        # accepted regardless after the last halving
-        beta_new = beta + scale * step
-        V = score_covariance(dataset, beta, state, gamma, sigma, tau)
-        omega_new = _sandwich(G, V)
+        v = _score_terms(dataset, beta, state, gamma, sigma, tau)
+        beta_new, _ = _newton_step(dataset, beta, v.sum(axis=0), G, state, gamma, sigma, tau)
+        omega_new = _sandwich(G, v.T @ v)
         delta_beta = float(np.max(np.abs(beta_new - beta)))
         delta_omega = _relative_change(omega_new, state.omega)
         beta = beta_new
@@ -296,37 +304,27 @@ def _newton_loop(dataset, tau, method, config, beta0, gamma):
         if delta_beta < config.beta_tolerance and delta_omega < config.omega_tolerance:
             converged = True
             break
-    return beta, state, sigma, rho_hat, iterations, converged
+    return beta, state, sigma, rho_hat, it + 1, converged
 
 
 def _refine_root(dataset, beta, state, gamma, sigma, tau):
-    """Newton at frozen weights until the smoothed score is a numerical zero."""
-    best_beta = beta.copy()
-    best_norm = np.inf
+    """Newton at frozen weights until the smoothed score is a numerical zero;
+    stops where the Jacobian is singular or the halvings run out, and returns
+    the iterate with the smallest sup |U~|."""
+    U = smoothed_estimating_function(dataset, beta, state, gamma, sigma, tau)
+    best_beta, best_norm = beta, np.inf
     for _ in range(30):
-        U = smoothed_estimating_function(dataset, beta, state, gamma, sigma, tau)
         sup = float(np.max(np.abs(U)))
         if sup < best_norm:
-            best_norm, best_beta = sup, beta.copy()
+            best_norm, best_beta = sup, beta
         if sup <= 1e-9:
             break
         try:
             G = smoothed_jacobian(dataset, beta, state, gamma, sigma, tau)
-            step = np.linalg.solve(G, U)
+            beta, U = _newton_step(dataset, beta, U, G, state, gamma, sigma, tau)
         except (SolverError, np.linalg.LinAlgError):
             break
-        norm0 = np.linalg.norm(U)
-        scale, moved = 1.0, False
-        for _ in range(MAX_HALVINGS):
-            trial = smoothed_estimating_function(
-                dataset, beta + scale * step, state, gamma, sigma, tau
-            )
-            if np.linalg.norm(trial) < norm0:
-                beta = beta + scale * step
-                moved = True
-                break
-            scale *= 0.5
-        if not moved:
+        if U is None:
             break
     return best_beta
 

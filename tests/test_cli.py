@@ -131,6 +131,37 @@ def test_empty_tau_list_is_schema_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_tau_outside_unit_interval_is_schema_error_before_loading(tmp_path, capsys):
+    # the data file does not exist: the tau check must fire before any read
+    args = [
+        "fit", "--data", str(tmp_path / "missing.csv"), "--response", "y", "--id", "id",
+        "--covariates", "trt,x", "--out", str(tmp_path / "r.csv"),
+    ]
+    for bad in ("1.5", "0.5,0", "-0.25"):
+        assert main(args + ["--tau", bad]) == 2
+        assert "error: quantile level must lie in (0, 1)" in capsys.readouterr().err
+
+
+def test_bad_precision_is_schema_error_before_any_fit(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "d.csv"
+    simulated_csv(path, m=10)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the precision check")
+
+    monkeypatch.setattr(cli, "fit", no_work)
+    monkeypatch.setattr(cli, "run_study", no_work)
+    fit_args = [
+        "fit", "--data", str(path), "--response", "y", "--id", "id",
+        "--covariates", "trt,x", "--out", str(tmp_path / "r.csv"),
+    ]
+    sim_args = ["simulate", "--m", "20", "--reps", "2", "--out", str(tmp_path / "s.csv")]
+    for args in (fit_args, sim_args):
+        for bad in ("-1", "0"):
+            assert main(args + ["--precision", bad]) == 2
+            assert "error: precision must be at least 1" in capsys.readouterr().err
+
+
 def test_interaction_column_order(tmp_path):
     path = tmp_path / "d.csv"
     write_csv(

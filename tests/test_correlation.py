@@ -127,6 +127,23 @@ def test_lag_correlations_scale_invariance(rng):
         assert np.max(np.abs(scaled - base)) <= 1e-12
 
 
+def test_lag_correlations_pool_within_subject_pairs_of_an_unbalanced_panel(rng):
+    # 1 to 12 occasions in shuffled order, so subject boundaries fall at every
+    # flat position and a pair across two subjects would shift every lag
+    lengths = rng.permutation(np.repeat(np.arange(1, 13), 4))
+    ds = panel([(np.ones((n, 1)), rng.standard_normal(n)) for n in lengths])
+    scores = rng.standard_normal(ds.n_obs)
+    blocks = [scores[ds.offsets[i] : ds.offsets[i + 1]] for i in range(ds.m)]
+    den = sum(float(b @ b) for b in blocks) / ds.n_obs
+    want = []
+    for lag in range(1, 12):
+        num = sum(b[j] * b[j + lag] for b in blocks for j in range(b.size - lag))
+        pairs = sum(max(b.size - lag, 0) for b in blocks)
+        want.append(num / pairs / den)
+    got = estimate_lag_correlations(ds, scores)
+    assert np.max(np.abs(got - np.clip(want, -0.99, 0.99))) <= 1e-12
+
+
 def test_lag_correlations_recover_indicator_correlation():
     config = SimConfig(m=5000, n=4, rho=0.9, error_case="normal", taus=(0.5,), replications=1, master_seed=5)
     ds = generate_dataset(config, 0)

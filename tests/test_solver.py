@@ -25,7 +25,11 @@ from wqreg import (
     smoothed_jacobian,
     smoothed_score,
 )
-from wqreg.correlation import ScoreVariances, assemble_working_covariance
+from wqreg.correlation import (
+    ScoreVariances,
+    assemble_working_covariance,
+    build_stationary_correlation,
+)
 from wqreg.sparsity import SparsityWeights, identity_sparsity
 
 from conftest import random_dataset, scalar_dataset
@@ -70,45 +74,54 @@ def test_estimating_function_symmetric_cancellation():
 
 
 def test_estimating_function_matches_direct_formula(rng):
-    subs = [
-        Subject(id=i, covariates=np.column_stack([np.ones(2), rng.standard_normal(2)]),
-                responses=rng.standard_normal(2))
-        for i in range(3)
-    ]
-    ds = LongitudinalDataset(subs)
-    tau = 0.3
-    beta = rng.standard_normal(2)
-    omega = np.diag(rng.uniform(0.5, 2.0, 2))
-    state = SmoothingState.from_omega(ds, omega)
-    gamma = SparsityWeights(rng.uniform(0.5, 2.0, ds.n_obs), "hk")
-    variances = ScoreVariances(rng.uniform(0.1, 0.4, 2))
-    C = np.array([[1.0, 0.4], [0.4, 1.0]])
-    sigma = assemble_working_covariance(variances, C, ds)
-
-    U = smoothed_estimating_function(ds, beta, state, gamma, sigma, tau)
-    G = smoothed_jacobian(ds, beta, state, gamma, sigma, tau)
-    V = score_covariance(ds, beta, state, gamma, sigma, tau)
-
-    # independent elementwise recomputation with explicit inverses
     from wqreg.model import smoothed_score_density
 
-    U_ref = np.zeros(2)
-    G_ref = np.zeros((2, 2))
-    V_ref = np.zeros((2, 2))
-    for i, s in enumerate(subs):
-        Xi = s.covariates
-        ri = state.radii[2 * i : 2 * i + 2]
-        gi = np.diag(gamma.values[2 * i : 2 * i + 2])
-        sig_inv = np.linalg.inv(sigma.subject_matrix(ds, i))
-        psi = smoothed_score(s.responses - Xi @ beta, ri, tau)
-        lam = np.diag(smoothed_score_density(s.responses - Xi @ beta, ri))
-        U_ref += Xi.T @ gi @ sig_inv @ psi
-        G_ref += Xi.T @ gi @ sig_inv @ lam @ Xi
-        v = Xi.T @ gi @ sig_inv @ psi
-        V_ref += np.outer(v, v)
-    assert np.max(np.abs(U - U_ref)) < 1e-12
-    assert np.max(np.abs(G - G_ref)) < 1e-12
-    assert np.max(np.abs(V - V_ref)) < 1e-12
+    def subject(i, n):
+        X = np.column_stack([np.ones(n), rng.standard_normal(n)])
+        return Subject(id=i, covariates=X, responses=rng.standard_normal(n))
+
+    balanced = [subject(i, 2) for i in range(3)]
+    # 1 to 5 occasions in shuffled order scatter each group over the subject
+    # indices, so every v_i must land in a row of its own
+    lengths = rng.permutation(np.repeat(np.arange(1, 6), 3))
+    unbalanced = [subject(i, n) for i, n in enumerate(lengths)]
+    correlations = [
+        np.array([[1.0, 0.4], [0.4, 1.0]]),
+        build_stationary_correlation([0.5, 0.3, -0.2, 0.1], 5),
+    ]
+    tau = 0.3
+    for subs, C in zip([balanced, unbalanced], correlations):
+        ds = LongitudinalDataset(subs)
+        beta = rng.standard_normal(2)
+        omega = np.diag(rng.uniform(0.5, 2.0, 2))
+        state = SmoothingState.from_omega(ds, omega)
+        gamma = SparsityWeights(rng.uniform(0.5, 2.0, ds.n_obs), "hk")
+        variances = ScoreVariances(rng.uniform(0.1, 0.4, ds.max_n))
+        sigma = assemble_working_covariance(variances, C, ds)
+
+        U = smoothed_estimating_function(ds, beta, state, gamma, sigma, tau)
+        G = smoothed_jacobian(ds, beta, state, gamma, sigma, tau)
+        V = score_covariance(ds, beta, state, gamma, sigma, tau)
+
+        # independent elementwise recomputation with explicit inverses
+        U_ref = np.zeros(2)
+        G_ref = np.zeros((2, 2))
+        V_ref = np.zeros((2, 2))
+        for i, s in enumerate(subs):
+            rows = slice(ds.offsets[i], ds.offsets[i + 1])
+            Xi = s.covariates
+            ri = state.radii[rows]
+            gi = np.diag(gamma.values[rows])
+            sig_inv = np.linalg.inv(sigma.subject_matrix(ds, i))
+            psi = smoothed_score(s.responses - Xi @ beta, ri, tau)
+            lam = np.diag(smoothed_score_density(s.responses - Xi @ beta, ri))
+            v = Xi.T @ gi @ sig_inv @ psi
+            U_ref += v
+            G_ref += Xi.T @ gi @ sig_inv @ lam @ Xi
+            V_ref += np.outer(v, v)
+        assert np.max(np.abs(U - U_ref)) < 1e-12
+        assert np.max(np.abs(G - G_ref)) < 1e-12
+        assert np.max(np.abs(V - V_ref)) < 1e-12
 
 
 def test_jacobian_scalar_case():
