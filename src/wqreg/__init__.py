@@ -24,8 +24,6 @@ from .model import (
     FitResult,
     LongitudinalDataset,
     Subject,
-    check_loss,
-    check_objective,
     check_tau,
     score_psi,
     smoothed_score,
@@ -84,8 +82,6 @@ __all__ = [
     "ar1_covariance",
     "assemble_working_covariance",
     "build_stationary_correlation",
-    "check_loss",
-    "check_objective",
     "check_tau",
     "confidence_intervals",
     "estimate_lag_correlations",

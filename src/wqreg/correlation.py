@@ -1,12 +1,11 @@
 """Working covariance of the quantile scores.
 
 Builds Sigma_i = A_i^{1/2} C(rho) A_i^{1/2} from per-occasion score
-variances and the stationary lag-correlation moment estimator. Subjects
-with the same occasion count share one Sigma_n, the leading block of the
-full Sigma, so the working covariance factors the full Sigma once per
-update, forms every Sigma_n^{-1} from the inverse of that one Cholesky
-factor, and the solver applies it by a plain matrix product on every
-kernel evaluation.
+variances and the stationary lag-correlation moment estimator. Every
+Sigma_i is a leading block of the full Sigma, so the working covariance
+factors the full Sigma once per update and applies every Sigma_i^{-1} from
+that one triangular factor on the dataset's padded layout, by plain matrix
+products on every kernel evaluation.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .exceptions import DataError
 from .model import LongitudinalDataset, check_tau, score_psi
@@ -131,7 +129,8 @@ def build_stationary_correlation(rho: np.ndarray, n: int) -> np.ndarray:
         raise ValueError("occasion count must be at least 1")
     if rho.shape[0] < n - 1:
         raise ValueError(f"need {n - 1} lags, got {rho.shape[0]}")
-    return toeplitz(np.concatenate([[1.0], rho[: n - 1]]))
+    first = np.concatenate([[1.0], rho[: n - 1]])
+    return first[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))]
 
 
 def regularize_correlation(C: np.ndarray) -> np.ndarray:
@@ -157,19 +156,21 @@ def regularize_correlation(C: np.ndarray) -> np.ndarray:
 
 
 class WorkingCovariance:
-    """Per-subject Sigma_i with one shared inverse per occasion count.
+    """Per-subject Sigma_i applied through one triangular factor.
 
     Sigma_n is the leading n x n block of the full Sigma, so with L the
     Cholesky factor of the full Sigma (which also rejects a Sigma that is
-    not PD), Sigma_n^{-1} = L_n^{-T} L_n^{-1}, symmetrised, where L_n^{-1}
-    is the leading block of L^{-1}: one factor and one inverse per update
-    serve every group. U, G and V apply it to every subject
-    of the group on every evaluation, so each solve is one numpy matrix
-    product and no LAPACK call runs per evaluation. Sigma has one row per
-    occasion and a regularised correlation, so the explicit inverse loses no
-    accuracy that matters. A LAPACK solve per evaluation costs more than the
-    product, and in a process pool each worker's LAPACK threads contend
-    with the other workers for the cores.
+    not PD), Sigma_n^{-1} = L_n^{-T} L_n^{-1}, where L_n^{-1} is the leading
+    block of L^{-1}. On the padded layout, Sigma_i^{-1} v_i is L^{-T} applied
+    to L^{-1} v_i with the entries past n_i zeroed; L^{-1} is kept exactly
+    lower triangular, so the padding of the result is exactly zero. One
+    factor and one inverse per update serve every subject, and U, G and V
+    apply them to all subjects at once by plain matrix products, with no
+    LAPACK call per evaluation. Sigma has one row per occasion and a
+    regularised correlation, so the explicit inverse loses no accuracy that
+    matters. A LAPACK solve per evaluation costs more than the product, and
+    in a process pool each worker's LAPACK threads contend with the other
+    workers for the cores.
     """
 
     def __init__(self, variances: ScoreVariances, correlation: np.ndarray,
@@ -180,29 +181,24 @@ class WorkingCovariance:
         if self.correlation.shape != (max_n, max_n):
             raise ValueError("correlation matrix does not match the occasion count")
         sd = np.sqrt(variances.per_position[:max_n])
-        self._full = sd[:, None] * self.correlation * sd[None, :]
-        l_inv = np.linalg.inv(np.linalg.cholesky(self._full))
-        self._inverse = {}
-        for n, _, _, _, _ in dataset.groups():
-            inverse = l_inv[:n, :n].T @ l_inv[:n, :n]
-            self._inverse[n] = 0.5 * (inverse + inverse.T)
+        factor = np.linalg.cholesky(sd[:, None] * self.correlation * sd[None, :])
+        # the pivoted inverse leaves rounding above the diagonal, which would
+        # leak into the padding
+        self._l_inv = np.tril(np.linalg.inv(factor))
+        self._mask = dataset.mask
 
-    def subject_matrix(self, dataset: LongitudinalDataset, i: int) -> np.ndarray:
-        """Dense Sigma_i for subject index i."""
-        n = int(dataset.lengths[i])
-        return self._full[:n, :n].copy()
+    def solve_vectors(self, values: np.ndarray) -> np.ndarray:
+        """Sigma_i^{-1} v_i for padded (m, max_n) per-subject vectors."""
+        return ((values @ self._l_inv.T) * self._mask) @ self._l_inv
 
-    def solve_vectors(self, n: int, values: np.ndarray) -> np.ndarray:
-        """Sigma^{-1} v for a (g, n) stack of per-subject vectors."""
-        # Sigma^{-1} is symmetric, so (Sigma^{-1} V')' = V Sigma^{-1}
-        return values @ self._inverse[n]
-
-    def solve_blocks(self, n: int, blocks: np.ndarray) -> np.ndarray:
-        """Sigma^{-1} B for a (g, n, p) stack of per-subject matrices."""
-        g, _, p = blocks.shape
-        flat = blocks.transpose(1, 0, 2).reshape(n, g * p)
-        out = self._inverse[n] @ flat
-        return out.reshape(n, g, p).transpose(1, 0, 2)
+    def solve_blocks(self, blocks: np.ndarray) -> np.ndarray:
+        """Sigma_i^{-1} B_i for padded (m, max_n, p) per-subject matrices."""
+        m, n, p = blocks.shape
+        flat = blocks.transpose(1, 0, 2).reshape(n, m * p)
+        half = (self._l_inv @ flat).reshape(n, m, p)
+        half *= self._mask.T[:, :, None]
+        out = self._l_inv.T @ half.reshape(n, m * p)
+        return out.reshape(n, m, p).transpose(1, 0, 2)
 
 
 def assemble_working_covariance(
@@ -210,5 +206,12 @@ def assemble_working_covariance(
     correlation: np.ndarray,
     dataset: LongitudinalDataset,
 ) -> WorkingCovariance:
-    """Build Sigma_i = A^{1/2} C A^{1/2} with its per-group inverses."""
-    return WorkingCovariance(variances, regularize_correlation(correlation), dataset)
+    """Build Sigma_i = A^{1/2} C A^{1/2} and its factor.
+
+    The factor of Sigma tests that C is PD, since Sigma is PD exactly when
+    C is; only when it fails is C shrunk by ``regularize_correlation``.
+    """
+    try:
+        return WorkingCovariance(variances, correlation, dataset)
+    except np.linalg.LinAlgError:
+        return WorkingCovariance(variances, regularize_correlation(correlation), dataset)

@@ -1,9 +1,9 @@
-"""Core domain types and the scalar score/check functions.
+"""Core domain types and the scalar score functions.
 
 Longitudinal data are stored as independent subjects, each carrying a block
 of covariate rows and responses. All estimating equations in this package
-are built from the four scalar functions defined here: the check loss, its
-discontinuous score, and the induced-smoothed score with its density.
+are built from the three scalar functions defined here: the discontinuous
+quantile score, and the induced-smoothed score with its density.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ __all__ = [
     "Subject",
     "LongitudinalDataset",
     "FitResult",
-    "check_loss",
-    "check_objective",
     "score_psi",
     "smoothed_score",
     "smoothed_score_density",
@@ -90,9 +88,10 @@ class LongitudinalDataset:
     """An ordered collection of subjects sharing one covariate dimension.
 
     Besides the per-subject view, the constructor caches a stacked design
-    matrix and a grouping of subjects by occasion count. Subjects with the
-    same number of occasions share one working-covariance factor, so the
-    solver batches them.
+    matrix, with the rows of each subject in turn, and a padded layout: row i
+    of an (m, max_n) array holds subject i's occasions, followed by zeros
+    where ``mask`` is False. The solver applies every subject's working
+    covariance at once on that layout.
     """
 
     def __init__(self, subjects):
@@ -112,7 +111,8 @@ class LongitudinalDataset:
         self.offsets = np.concatenate([[0], np.cumsum(self.lengths)])
         # flat occasion position (0-based within subject) per observation
         self.positions = np.concatenate([np.arange(n) for n in self.lengths])
-        self._groups = None
+        self.mask = np.arange(self.max_n) < self.lengths[:, None]
+        self.X_pad = self.pad(self.X)
 
     @property
     def m(self) -> int:
@@ -126,21 +126,15 @@ class LongitudinalDataset:
     def max_n(self) -> int:
         return int(self.lengths.max())
 
-    def groups(self):
-        """Subjects batched by occasion count.
-
-        Returns a list of (n, subject_indices, obs_indices, Xg, yg) with
-        obs_indices of shape (g, n) gathering the flat observation rows,
-        Xg of shape (g, n, p) and yg of shape (g, n).
-        """
-        if self._groups is None:
-            out = []
-            for n in np.unique(self.lengths):
-                idx = np.flatnonzero(self.lengths == n)
-                obs = self.offsets[idx][:, None] + np.arange(n)[None, :]
-                out.append((int(n), idx, obs, self.X[obs], self.y[obs]))
-            self._groups = out
-        return self._groups
+    def pad(self, values: np.ndarray) -> np.ndarray:
+        """Per-observation values (n_obs, ...) in the padded (m, max_n, ...)
+        layout, zero in the padding."""
+        values = np.asarray(values)
+        out = np.zeros(self.mask.shape + values.shape[1:], dtype=values.dtype)
+        # flat rows run subject by subject, the order in which a row-major
+        # boolean index visits the mask
+        out[self.mask] = values
+        return out
 
 
 @dataclass
@@ -162,19 +156,6 @@ class FitResult:
 # ---------------------------------------------------------------------------
 # scalar functions (vectorized over numpy arrays)
 # ---------------------------------------------------------------------------
-
-
-def check_loss(u, tau: float):
-    """Check loss rho_tau(u) = u * (tau - I(u <= 0)); nonnegative."""
-    u = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(u)):
-        raise ValueError("check_loss requires finite input")
-    return np.where(u <= 0.0, u * (tau - 1.0), u * tau)
-
-
-def check_objective(X: np.ndarray, y: np.ndarray, beta: np.ndarray, tau: float) -> float:
-    """Sum of check losses of the residuals y - X beta."""
-    return float(check_loss(y - X @ beta, tau).sum())
 
 
 def score_psi(u, tau: float):

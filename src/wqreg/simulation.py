@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import toeplitz
 from scipy.special import gammaincinv, ndtr, ndtri, stdtrit
 
 from .exceptions import DataError, SolverError
@@ -140,7 +139,8 @@ def ar1_covariance(rho: float, n: int) -> np.ndarray:
         raise ValueError("rho must lie in [0, 1)")
     if n < 1:
         raise ValueError("n must be at least 1")
-    return toeplitz(rho ** np.arange(n, dtype=float))
+    lags = np.arange(n)
+    return (rho ** lags.astype(float))[np.abs(np.subtract.outer(lags, lags))]
 
 
 def _gaussian_draws(case: str, L: np.ndarray, rng: np.random.Generator):

@@ -129,11 +129,8 @@ def _radii(X: np.ndarray, omega: np.ndarray) -> np.ndarray:
 def _score_terms(dataset, beta, state, gamma, sigma, tau) -> np.ndarray:
     """Per-subject v_i = X_i' Gamma_i Sigma_i^{-1} psi~(y_i - X_i beta), one row each."""
     psi = smoothed_score(dataset.y - dataset.X @ beta, state.radii, tau)
-    v = np.empty((dataset.m, dataset.p))
-    for n, idx, obs, Xg, _ in dataset.groups():
-        q = sigma.solve_vectors(n, psi[obs])
-        v[idx] = np.einsum("gnp,gn->gp", Xg, gamma.values[obs] * q)
-    return v
+    q = sigma.solve_vectors(dataset.pad(psi))
+    return np.einsum("inp,in->ip", dataset.X_pad, dataset.pad(gamma.values) * q)
 
 
 def smoothed_estimating_function(
@@ -162,10 +159,9 @@ def smoothed_jacobian(
     1e12; the smoothed system is then numerically singular.
     """
     lam = smoothed_score_density(dataset.y - dataset.X @ beta, state.radii)
-    G = np.zeros((dataset.p, dataset.p))
-    for n, _, obs, Xg, _ in dataset.groups():
-        M = sigma.solve_blocks(n, lam[obs][:, :, None] * Xg)
-        G += np.einsum("gnp,gnq->pq", gamma.values[obs][:, :, None] * Xg, M)
+    X_pad, p = dataset.X_pad, dataset.p
+    M = sigma.solve_blocks(dataset.pad(lam)[:, :, None] * X_pad)
+    G = (dataset.pad(gamma.values)[:, :, None] * X_pad).reshape(-1, p).T @ M.reshape(-1, p)
     # the negated comparison also catches a NaN condition number (zero matrix)
     if not np.all(np.isfinite(G)) or not (np.linalg.cond(G) <= COND_MAX):
         raise SolverError("smoothed Jacobian is numerically singular")

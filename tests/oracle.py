@@ -2,8 +2,9 @@
 
 Nothing here is a production code path. The exact WI fit enumerates all
 p-subsets of observations, which is only viable on tiny instances; the
-other two oracles provide independent numbers for cross-checking the
-solver's Jacobian and the lag-correlation estimator.
+other oracles provide independent numbers for cross-checking the check
+loss, the solver's Jacobian, the working covariance and the
+lag-correlation estimator.
 """
 
 from __future__ import annotations
@@ -14,10 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from wqreg.exceptions import DataError
-from wqreg.model import LongitudinalDataset, check_objective, check_tau
+from wqreg.model import LongitudinalDataset, check_tau
 
 __all__ = [
     "OracleFit",
+    "check_loss",
+    "check_objective",
+    "subject_matrix",
     "exact_wi_fit",
     "finite_difference_jacobian",
     "indicator_correlation_oracle",
@@ -25,6 +29,27 @@ __all__ = [
 
 MAX_OBS = 40
 MAX_DIM = 3
+
+
+def check_loss(u, tau: float):
+    """Check loss rho_tau(u) = u * (tau - I(u <= 0)); nonnegative."""
+    u = np.asarray(u, dtype=float)
+    if not np.all(np.isfinite(u)):
+        raise ValueError("check_loss requires finite input")
+    return np.where(u <= 0.0, u * (tau - 1.0), u * tau)
+
+
+def check_objective(X: np.ndarray, y: np.ndarray, beta: np.ndarray, tau: float) -> float:
+    """Sum of check losses of the residuals y - X beta."""
+    return float(check_loss(y - X @ beta, tau).sum())
+
+
+def subject_matrix(cov, dataset: LongitudinalDataset, i: int) -> np.ndarray:
+    """Dense Sigma_i of subject index i, rebuilt from the variances and the
+    correlation a WorkingCovariance holds."""
+    n = int(dataset.lengths[i])
+    sd = np.sqrt(cov.variances.per_position[:n])
+    return sd[:, None] * cov.correlation[:n, :n] * sd[None, :]
 
 
 @dataclass

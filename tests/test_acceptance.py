@@ -13,7 +13,6 @@ import pytest
 from wqreg import (
     SimConfig,
     SmoothingState,
-    check_objective,
     estimate_lag_correlations,
     fit,
     fit_many,
@@ -27,7 +26,7 @@ from wqreg.correlation import ScoreVariances, assemble_working_covariance
 from wqreg.sparsity import identity_sparsity
 
 from conftest import random_dataset
-from oracle import exact_wi_fit, finite_difference_jacobian
+from oracle import check_objective, exact_wi_fit, finite_difference_jacobian, subject_matrix
 
 COEFS = ("beta0", "beta1", "beta2")
 
@@ -113,9 +112,10 @@ def test_smoothed_equations_approach_unsmoothed():
         done += 1
         gamma, sigma = wi_weights(ds, tau)
         hard = np.zeros(2)
-        for n, _, obs, Xg, yg in ds.groups():
-            psi = score_psi(yg - np.einsum("gnp,p->gn", Xg, beta), tau)
-            hard += np.einsum("gnp,gn->p", Xg, sigma.solve_vectors(n, psi))
+        for i in range(ds.m):
+            rows = slice(ds.offsets[i], ds.offsets[i + 1])
+            psi = score_psi(ds.y[rows] - ds.X[rows] @ beta, tau)
+            hard += ds.X[rows].T @ np.linalg.solve(subject_matrix(sigma, ds, i), psi)
         gaps = []
         for c in (1e-2, 1e-4, 1e-6):
             state = SmoothingState.from_omega(ds, c * np.eye(2))

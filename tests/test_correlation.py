@@ -20,7 +20,7 @@ from wqreg import (
 from wqreg.correlation import SIGMA_MIN, ScoreVariances
 
 from conftest import random_dataset
-from oracle import indicator_correlation_oracle
+from oracle import indicator_correlation_oracle, subject_matrix
 
 
 def panel(rows):
@@ -198,11 +198,11 @@ def test_assemble_working_covariance_values():
     ds = panel([(np.ones((2, 1)), [0.0, 0.0])])
     v = ScoreVariances([0.25, 0.25])
     cov = assemble_working_covariance(v, build_stationary_correlation([0.5], 2), ds)
-    assert np.allclose(cov.subject_matrix(ds, 0), [[0.25, 0.125], [0.125, 0.25]])
+    assert np.allclose(subject_matrix(cov, ds, 0), [[0.25, 0.125], [0.125, 0.25]])
 
     # WI special case: C = I, sigma = tau(1-tau)
     cov_wi = assemble_working_covariance(ScoreVariances([0.25, 0.25]), np.eye(2), ds)
-    assert np.allclose(cov_wi.subject_matrix(ds, 0), 0.25 * np.eye(2))
+    assert np.allclose(subject_matrix(cov_wi, ds, 0), 0.25 * np.eye(2))
 
 
 def test_assemble_working_covariance_solves(rng):
@@ -210,16 +210,16 @@ def test_assemble_working_covariance_solves(rng):
     v = ScoreVariances(rng.uniform(0.05, 0.4, 4))
     rho = np.array([0.5, 0.3, 0.2])
     cov = assemble_working_covariance(v, build_stationary_correlation(rho, 4), ds)
-    sigma = cov.subject_matrix(ds, 0)
+    sigma = subject_matrix(cov, ds, 0)
     assert np.max(np.abs(sigma - sigma.T)) <= 1e-12
     assert np.allclose(np.diag(sigma), v.per_position, atol=1e-12)
 
     vec = rng.standard_normal((10, 4))
-    solved = cov.solve_vectors(4, vec)
+    solved = cov.solve_vectors(vec)
     assert np.max(np.abs(solved @ sigma - vec)) < 1e-10
 
     blocks = rng.standard_normal((10, 4, 2))
-    solved_b = cov.solve_blocks(4, blocks)
+    solved_b = cov.solve_blocks(blocks)
     recon = np.einsum("jk,gkp->gjp", sigma, solved_b)
     assert np.max(np.abs(recon - blocks)) < 1e-10
 
@@ -237,20 +237,25 @@ def test_assemble_working_covariance_solves(rng):
     floored = rng.uniform(0.05, 0.25, 12)
     floored[::3] = 0.0
     cases = [
-        (ScoreVariances(rng.uniform(0.05, 0.25, 12)), 0.8 ** np.arange(1, 12)),
-        (ScoreVariances(floored), clamped),
+        (ScoreVariances(rng.uniform(0.05, 0.25, 12)), 0.8 ** np.arange(1, 12), False),
+        (ScoreVariances(floored), clamped, True),
     ]
     assert np.any(cases[1][0].per_position == SIGMA_MIN)
-    for variances, lags in cases:
-        cov = assemble_working_covariance(variances, build_stationary_correlation(lags, 12), ds)
-        for n, idx, _, _, _ in ds.groups():
-            sigma = cov.subject_matrix(ds, idx[0])
-            vec = rng.standard_normal((idx.size, n))
-            want = np.linalg.solve(sigma, vec.T).T
-            got = cov.solve_vectors(n, vec)
-            assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want)), n
-            blocks = rng.standard_normal((idx.size, n, 3))
-            want_b = np.linalg.solve(sigma, blocks)
-            got_b = cov.solve_blocks(n, blocks)
-            assert np.max(np.abs(got_b - want_b)) <= 1e-8 * np.max(np.abs(want_b)), n
+    for variances, lags, shrinks in cases:
+        C = build_stationary_correlation(lags, 12)
+        cov = assemble_working_covariance(variances, C, ds)
+        # a PD correlation is used as passed in: the shrinkage did not run
+        assert np.array_equal(cov.correlation, C) != shrinks
+        vec = ds.pad(rng.standard_normal(ds.n_obs))
+        blocks = ds.pad(rng.standard_normal((ds.n_obs, 3)))
+        got = cov.solve_vectors(vec)
+        got_b = cov.solve_blocks(blocks)
+        # the padding must stay exactly zero, not merely small
+        assert np.all(got[~ds.mask] == 0.0) and np.all(got_b[~ds.mask] == 0.0)
+        for i, n in enumerate(ds.lengths):
+            sigma = subject_matrix(cov, ds, i)
+            want = np.linalg.solve(sigma, vec[i, :n])
+            assert np.max(np.abs(got[i, :n] - want)) <= 1e-8 * np.max(np.abs(want)), n
+            want_b = np.linalg.solve(sigma, blocks[i, :n])
+            assert np.max(np.abs(got_b[i, :n] - want_b)) <= 1e-8 * np.max(np.abs(want_b)), n
     assert not np.array_equal(cov.correlation, raw)  # the shrinkage fired

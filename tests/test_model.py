@@ -8,13 +8,13 @@ from wqreg import (
     DataError,
     LongitudinalDataset,
     Subject,
-    check_loss,
-    check_objective,
     check_tau,
     score_psi,
     smoothed_score,
     smoothed_score_density,
 )
+
+from oracle import check_loss, check_objective
 
 
 def test_check_tau_accepts_interior_and_rejects_rest():
@@ -159,12 +159,11 @@ def test_dataset_shapes_and_grouping():
     assert (ds.m, ds.p, ds.n_obs, ds.max_n) == (3, 2, 5, 2)
     assert ds.X.shape == (5, 2) and ds.y.shape == (5,)
     assert list(ds.positions) == [0, 1, 0, 0, 1]
-    seen = {}
-    for n, idx, obs, Xg, yg in ds.groups():
-        seen[n] = idx.tolist()
-        assert Xg.shape == (len(idx), n, 2) and yg.shape == (len(idx), n)
-        assert np.array_equal(ds.y[obs], yg)
-    assert seen == {1: [1], 2: [0, 2]}
+    assert np.array_equal(ds.mask, [[True, True], [True, False], [True, True]])
+    assert np.array_equal(ds.pad(ds.y), [[1.0, 2.0], [3.0, 0.0], [4.0, 5.0]])
+    assert ds.X_pad.shape == (3, 2, 2)
+    assert np.array_equal(ds.X_pad[1], [[1.0, 2.0], [0.0, 0.0]])
+    assert np.array_equal(ds.X_pad[ds.mask], ds.X)
 
 
 def test_dataset_rejects_mixed_dimensions_and_empty():

@@ -7,11 +7,15 @@ from wqreg import (
     DataError,
     LongitudinalDataset,
     Subject,
-    check_objective,
 )
 
 from conftest import scalar_dataset
-from oracle import exact_wi_fit, finite_difference_jacobian, indicator_correlation_oracle
+from oracle import (
+    check_objective,
+    exact_wi_fit,
+    finite_difference_jacobian,
+    indicator_correlation_oracle,
+)
 
 
 def test_exact_fit_median_of_five():

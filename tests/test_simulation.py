@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.linalg import toeplitz
 from scipy.special import ndtr
 
 import wqreg
@@ -51,6 +52,10 @@ def test_ar1_covariance_values():
     assert np.allclose(np.linalg.cholesky(ar1_covariance(0.9, 8)) @
                        np.linalg.cholesky(ar1_covariance(0.9, 8)).T,
                        ar1_covariance(0.9, 8))
+    # numpy indexing builds the same matrix, bit for bit, as scipy's toeplitz
+    for rho in (0.0, 0.5, 0.9):
+        for n in range(1, 13):
+            assert np.array_equal(ar1_covariance(rho, n), toeplitz(rho ** np.arange(n)))
 
 
 @pytest.mark.parametrize("case,tau,n_draws,tol", [

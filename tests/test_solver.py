@@ -13,7 +13,6 @@ from wqreg import (
     SolverConfig,
     SolverError,
     Subject,
-    check_objective,
     confidence_intervals,
     fit,
     fit_many,
@@ -33,7 +32,7 @@ from wqreg.correlation import (
 from wqreg.sparsity import SparsityWeights, identity_sparsity
 
 from conftest import random_dataset, scalar_dataset
-from oracle import exact_wi_fit, finite_difference_jacobian
+from oracle import check_objective, exact_wi_fit, finite_difference_jacobian, subject_matrix
 
 
 def wi_weights(ds, tau=0.5):
@@ -85,19 +84,26 @@ def test_estimating_function_matches_direct_formula(rng):
     # indices, so every v_i must land in a row of its own
     lengths = rng.permutation(np.repeat(np.arange(1, 6), 3))
     unbalanced = [subject(i, n) for i, n in enumerate(lengths)]
+    # 1 to 12 occasions with singletons, lags at the clamp that force the
+    # correlation shrinkage, and variances at the floor
+    ragged = [subject(i, n) for i, n in enumerate(rng.permutation(np.repeat(np.arange(1, 13), 2)))]
     correlations = [
         np.array([[1.0, 0.4], [0.4, 1.0]]),
         build_stationary_correlation([0.5, 0.3, -0.2, 0.1], 5),
+        build_stationary_correlation(np.resize([0.99, -0.99, 0.99, 0.99, -0.99], 11), 12),
     ]
     tau = 0.3
-    for subs, C in zip([balanced, unbalanced], correlations):
+    for subs, C in zip([balanced, unbalanced, ragged], correlations):
         ds = LongitudinalDataset(subs)
         beta = rng.standard_normal(2)
         omega = np.diag(rng.uniform(0.5, 2.0, 2))
         state = SmoothingState.from_omega(ds, omega)
         gamma = SparsityWeights(rng.uniform(0.5, 2.0, ds.n_obs), "hk")
-        variances = ScoreVariances(rng.uniform(0.1, 0.4, ds.max_n))
-        sigma = assemble_working_covariance(variances, C, ds)
+        variances = rng.uniform(0.1, 0.4, ds.max_n)
+        if subs is ragged:
+            variances[::3] = 0.0  # floored to SIGMA_MIN
+        sigma = assemble_working_covariance(ScoreVariances(variances), C, ds)
+        assert np.array_equal(sigma.correlation, C) != (subs is ragged)
 
         U = smoothed_estimating_function(ds, beta, state, gamma, sigma, tau)
         G = smoothed_jacobian(ds, beta, state, gamma, sigma, tau)
@@ -112,16 +118,18 @@ def test_estimating_function_matches_direct_formula(rng):
             Xi = s.covariates
             ri = state.radii[rows]
             gi = np.diag(gamma.values[rows])
-            sig_inv = np.linalg.inv(sigma.subject_matrix(ds, i))
+            sig_inv = np.linalg.inv(subject_matrix(sigma, ds, i))
             psi = smoothed_score(s.responses - Xi @ beta, ri, tau)
             lam = np.diag(smoothed_score_density(s.responses - Xi @ beta, ri))
             v = Xi.T @ gi @ sig_inv @ psi
             U_ref += v
             G_ref += Xi.T @ gi @ sig_inv @ lam @ Xi
             V_ref += np.outer(v, v)
-        assert np.max(np.abs(U - U_ref)) < 1e-12
-        assert np.max(np.abs(G - G_ref)) < 1e-12
-        assert np.max(np.abs(V - V_ref)) < 1e-12
+        # at the variance floor Sigma^{-1} is of order 1 / SIGMA_MIN and V of
+        # its square, so the ragged input is checked relative to its size
+        for got, ref in ((U, U_ref), (G, G_ref), (V, V_ref)):
+            scale = np.max(np.abs(ref)) if subs is ragged else 1.0
+            assert np.max(np.abs(got - ref)) < 1e-12 * scale
 
 
 def test_jacobian_scalar_case():
@@ -382,10 +390,10 @@ def test_smoothing_equivalence_on_fixed_dataset(rng):
     tau = 0.5
     gamma, sigma = wi_weights(ds, tau)
     hard = np.zeros(2)
-    for n, _, obs, Xg, yg in ds.groups():
-        psi = score_psi(yg - np.einsum("gnp,p->gn", Xg, beta), tau)
-        q = sigma.solve_vectors(n, psi)
-        hard += np.einsum("gnp,gn->p", Xg, q)
+    for i in range(ds.m):
+        rows = slice(ds.offsets[i], ds.offsets[i + 1])
+        psi = score_psi(ds.y[rows] - ds.X[rows] @ beta, tau)
+        hard += ds.X[rows].T @ np.linalg.solve(subject_matrix(sigma, ds, i), psi)
     gaps = []
     for c in (1e-2, 1e-4, 1e-6):
         state = SmoothingState.from_omega(ds, c * np.eye(2))
