@@ -20,7 +20,7 @@ import numpy as np
 from .exceptions import DataError, SchemaError, SolverError, WqregError
 from .model import LongitudinalDataset, Subject, check_tau
 from .simulation import SimConfig, run_study
-from .solver import SolverConfig, confidence_intervals, fit
+from .solver import confidence_intervals, fit
 
 try:
     _VERSION = version("wqreg")
@@ -188,7 +188,6 @@ def run_fit_command(spec: FitCommandSpec) -> ReportDocument:
         raise SchemaError("need at least one covariate or an intercept")
     dataset, dropped = _load_csv_details(spec.data, spec)
     names = spec.design_names()
-    config = SolverConfig(gamma_mode=spec.gamma_mode)
     metadata = {
         "command": "fit",
         "version": _VERSION,
@@ -207,7 +206,7 @@ def run_fit_command(spec: FitCommandSpec) -> ReportDocument:
     n_nonconverged = 0
     for tau in spec.taus:
         try:
-            result = fit(dataset, tau, spec.method, config)
+            result = fit(dataset, tau, spec.method, gamma_mode=spec.gamma_mode)
         except SolverError as exc:
             raise SolverError(f"tau={tau:g} method={spec.method.upper()}: {exc}") from exc
         ci = confidence_intervals(result)

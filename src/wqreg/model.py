@@ -8,7 +8,7 @@ quantile score, and the induced-smoothed score with its density.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -149,8 +149,6 @@ class FitResult:
     tau: float
     method: str  # "WI", "PQR" or "AQR"
     rho_hat: np.ndarray  # lag correlations; empty for WI
-    n_obs: int = 0
-    coefficient_names: list = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------

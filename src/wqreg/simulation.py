@@ -4,7 +4,8 @@ and the bias / SD / SE / EFF / coverage summaries."""
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -12,7 +13,7 @@ from scipy.special import gammaincinv, ndtr, ndtri, stdtrit
 
 from .exceptions import DataError, SolverError
 from .model import LongitudinalDataset, Subject, check_tau
-from .solver import METHODS, SolverConfig, fit_many
+from .solver import METHODS, fit_many
 
 __all__ = [
     "CASES",
@@ -224,19 +225,19 @@ def generate_dataset(
 
 
 def _fit_method_order(config: SimConfig):
-    # WI is always fitted: it initializes PQR/AQR and anchors EFF
+    # WI is always fitted: it anchors EFF
     wanted = set(config.methods) | {"WI"}
     return [m for m in METHODS if m in wanted]
 
 
-def _replicate(config: SimConfig, replication: int, solver_config: SolverConfig):
+def _replicate(config: SimConfig, replication: int):
     methods = _fit_method_order(config)
     p = len(config.beta_true)
     records = []
     for tau in config.taus:
         dataset = generate_dataset(config, replication, tau)
         try:
-            fits = fit_many(dataset, tau, methods, solver_config)
+            fits = fit_many(dataset, tau, methods)
         except (SolverError, DataError, np.linalg.LinAlgError):
             fits = None
         for method in methods:
@@ -256,28 +257,21 @@ def _replicate(config: SimConfig, replication: int, solver_config: SolverConfig)
     return records
 
 
-def _replicate_star(args):
-    return _replicate(*args)
-
-
-def run_study(
-    config: SimConfig, workers: int = 1, solver_config: Optional[SolverConfig] = None
-) -> SimStudyReport:
+def run_study(config: SimConfig, workers: int = 1) -> SimStudyReport:
     """Run all replications and aggregate.
 
     Replications are independent with deterministic per-replication seeds;
     records are reduced in replication order, so the report is identical
     for any worker count.
     """
-    solver_config = solver_config or SolverConfig()
+    replications = range(config.replications)
     if workers > 1:
-        jobs = [(config, r, solver_config) for r in range(config.replications)]
         # one replication per task: a slow-converging replication can cost
         # several others, and fixed chunks would leave a worker idle
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_replicate_star, jobs))
+            batches = list(pool.map(_replicate, repeat(config), replications))
     else:
-        batches = [_replicate(config, r, solver_config) for r in range(config.replications)]
+        batches = [_replicate(config, r) for r in replications]
     records = [rec for batch in batches for rec in batch]
     return summarize(records, np.asarray(config.beta_true))
 

@@ -21,6 +21,10 @@ direction in which it is flat, on an edge its midpoint. The WI standard
 errors come from the fixed point Omega = sandwich(beta, radii(Omega)) at
 that fixed beta. The Hendricks-Koenker weights of PQR and AQR use the exact
 minimizers at tau +/- h.
+
+The iteration cap and the two convergence tolerances are module constants:
+implementation choices, not part of the estimator. The one setting is
+``gamma_mode`` of ``fit`` and ``fit_many``.
 """
 
 from __future__ import annotations
@@ -59,7 +63,6 @@ from .sparsity import (
 
 __all__ = [
     "METHODS",
-    "SolverConfig",
     "SmoothingState",
     "smoothed_estimating_function",
     "smoothed_jacobian",
@@ -73,6 +76,10 @@ __all__ = [
 METHODS = ("WI", "PQR", "AQR")
 
 COND_MAX = 1e12  # Jacobian condition limit; beyond it the system is singular
+MAX_OUTER_ITERATIONS = 100  # Newton iterations, or WI Omega updates, per fit
+BETA_TOLERANCE = 1e-8  # sup-norm of the beta step
+OMEGA_TOLERANCE = 1e-6  # relative Frobenius change of Omega
+GAMMA_MODES = ("hk", "identity")
 RADII_FLOOR = 1e-12
 MAX_HALVINGS = 20
 INFLATE_MAX = 60  # radius inflation attempts before giving up on a step
@@ -84,24 +91,6 @@ IPM_MAX_ITERATIONS = 100
 IPM_GAP_TOL = 1e-8
 IPM_STEP_FRACTION = 0.99995
 IPM_START_SHIFT = 1e-3
-
-
-@dataclass
-class SolverConfig:
-    """Tolerances and switches of the outer Newton iteration."""
-
-    max_outer_iterations: int = 100
-    beta_tolerance: float = 1e-8  # sup-norm of the beta step
-    omega_tolerance: float = 1e-6  # relative Frobenius change of Omega
-    gamma_mode: str = "hk"  # "hk" or "identity"
-
-    def __post_init__(self):
-        if self.max_outer_iterations < 1:
-            raise ValueError("max_outer_iterations must be at least 1")
-        if self.beta_tolerance <= 0 or self.omega_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.gamma_mode not in ("hk", "identity"):
-            raise ValueError(f"unknown gamma_mode {self.gamma_mode!r}")
 
 
 @dataclass
@@ -281,13 +270,13 @@ def _newton_step(dataset, beta, U, G, state, gamma, sigma, tau):
     return beta + 0.5**MAX_HALVINGS * step, None
 
 
-def _newton_loop(dataset, tau, method, config, beta0, gamma):
+def _newton_loop(dataset, tau, method, beta0, gamma):
     """Newton in beta with Sigma and Omega re-estimated at every iteration;
     a step whose halvings run out is taken anyway."""
     beta = beta0.copy()
     state = _initial_state(dataset)
     converged = False
-    for it in range(config.max_outer_iterations):
+    for it in range(MAX_OUTER_ITERATIONS):
         sigma, rho_hat = _weighted_sigma(dataset, beta, tau, method)
         G, state = _jacobian_with_inflation(dataset, beta, state, gamma, sigma, tau)
         v = _score_terms(dataset, beta, state, gamma, sigma, tau)
@@ -297,7 +286,7 @@ def _newton_loop(dataset, tau, method, config, beta0, gamma):
         delta_omega = _relative_change(omega_new, state.omega)
         beta = beta_new
         state = SmoothingState.from_omega(dataset, omega_new)
-        if delta_beta < config.beta_tolerance and delta_omega < config.omega_tolerance:
+        if delta_beta < BETA_TOLERANCE and delta_omega < OMEGA_TOLERANCE:
             converged = True
             break
     return beta, state, sigma, rho_hat, it + 1, converged
@@ -477,27 +466,25 @@ def _fit_result(dataset, tau, method, beta, omega, state, gamma, sigma, rho_hat,
         tau=tau,
         method=method,
         rho_hat=rho_hat,
-        n_obs=dataset.n_obs,
     )
     result._context = {"state": state, "gamma": gamma, "sigma": sigma}
     return result
 
 
-def _fit_wi(dataset: LongitudinalDataset, tau: float, config: SolverConfig) -> FitResult:
-    """Exact check-loss minimizer with SEs from the Omega fixed point.
+def _fit_wi(dataset: LongitudinalDataset, tau: float, beta: np.ndarray) -> FitResult:
+    """WI fit at the exact check-loss minimizer beta, SEs from the Omega fixed point.
 
     At the fixed beta, Omega <- sandwich(beta, radii(Omega)) from I/m until
-    its relative change is below ``omega_tolerance``; ``converged`` means
-    Omega is a verified fixed point and ``iterations`` counts the updates.
+    its relative change is below OMEGA_TOLERANCE; ``converged`` means Omega
+    is a verified fixed point and ``iterations`` counts the updates.
     """
-    beta = _check_loss_minimizer(dataset.X, dataset.y, tau)
     gamma = identity_sparsity(dataset)
     sigma = _wi_sigma(dataset, tau)
     state = _initial_state(dataset)
-    for it in range(config.max_outer_iterations):
+    for it in range(MAX_OUTER_ITERATIONS):
         G, state = _jacobian_with_inflation(dataset, beta, state, gamma, sigma, tau)
         omega = _sandwich(G, score_covariance(dataset, beta, state, gamma, sigma, tau))
-        converged = _relative_change(omega, state.omega) < config.omega_tolerance
+        converged = _relative_change(omega, state.omega) < OMEGA_TOLERANCE
         state = SmoothingState.from_omega(dataset, omega)
         if converged:
             break
@@ -510,12 +497,11 @@ def _fit_weighted(
     dataset: LongitudinalDataset,
     tau: float,
     method: str,
-    config: SolverConfig,
     beta0: np.ndarray,
     gamma: SparsityWeights,
 ) -> FitResult:
     beta, state, sigma, rho_hat, iterations, converged = _newton_loop(
-        dataset, tau, method, config, beta0, gamma
+        dataset, tau, method, beta0, gamma
     )
     if converged:
         beta = _refine_root(dataset, beta, state, gamma, sigma, tau)
@@ -528,8 +514,8 @@ def _fit_weighted(
     )
 
 
-def _gamma_for(dataset, tau, config) -> SparsityWeights:
-    if config.gamma_mode == "identity":
+def _gamma_for(dataset, tau, gamma_mode) -> SparsityWeights:
+    if gamma_mode == "identity":
         return identity_sparsity(dataset)
     h = hall_sheather_bandwidth(tau, dataset.n_obs)
     try:
@@ -546,32 +532,37 @@ def fit_many(
     dataset: LongitudinalDataset,
     tau: float,
     methods,
-    config: SolverConfig | None = None,
+    *,
+    gamma_mode: str = "hk",
 ) -> dict:
-    """Fit several methods at one tau, sharing the WI baseline and Gamma.
+    """Fit several methods at one tau, sharing the check-loss minimizer and Gamma.
 
-    Returns a dict keyed by canonical method name. The WI fit is always
-    computed because it initializes the weighted methods.
+    Returns a dict keyed by canonical method name. The exact check-loss
+    minimizer is always computed: it is the WI estimate and the start of
+    the weighted methods. WI's Omega fixed point runs only when WI is
+    requested. ``gamma_mode`` is "hk" for Hendricks-Koenker sparsity
+    weights in PQR and AQR, or "identity" for unit weights.
     """
     tau = check_tau(tau)
-    config = config or SolverConfig()
     wanted = [str(m).upper() for m in methods]
     for m in wanted:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
+    if gamma_mode not in GAMMA_MODES:
+        raise ValueError(f"unknown gamma_mode {gamma_mode!r}; expected one of {GAMMA_MODES}")
     if dataset.n_obs <= dataset.p:
         raise DataError(f"need more observations ({dataset.n_obs}) than parameters ({dataset.p})")
     if np.linalg.matrix_rank(dataset.X) < dataset.p:
         raise DataError("stacked design matrix is rank deficient")
+    beta = _check_loss_minimizer(dataset.X, dataset.y, tau)
     results = {}
-    wi = _fit_wi(dataset, tau, config)
     if "WI" in wanted:
-        results["WI"] = wi
+        results["WI"] = _fit_wi(dataset, tau, beta)
     weighted = [m for m in wanted if m != "WI"]
     if weighted:
-        gamma = _gamma_for(dataset, tau, config)
+        gamma = _gamma_for(dataset, tau, gamma_mode)
         for method in weighted:
-            results[method] = _fit_weighted(dataset, tau, method, config, wi.beta, gamma)
+            results[method] = _fit_weighted(dataset, tau, method, beta, gamma)
     return results
 
 
@@ -579,7 +570,8 @@ def fit(
     dataset: LongitudinalDataset,
     tau: float,
     method: str = "PQR",
-    config: SolverConfig | None = None,
+    *,
+    gamma_mode: str = "hk",
 ) -> FitResult:
     """Fit one quantile regression by the requested method."""
-    return fit_many(dataset, tau, [method], config)[str(method).upper()]
+    return fit_many(dataset, tau, [method], gamma_mode=gamma_mode)[str(method).upper()]

@@ -10,19 +10,15 @@ import time
 import numpy as np
 import pytest
 
-from wqreg import (
-    SimConfig,
-    SmoothingState,
+from wqreg import SimConfig, fit, fit_many, run_study
+from wqreg.correlation import (
+    ScoreVariances,
+    assemble_working_covariance,
     estimate_lag_correlations,
-    fit,
-    fit_many,
-    generate_dataset,
-    run_study,
-    score_psi,
-    smoothed_estimating_function,
-    smoothed_jacobian,
 )
-from wqreg.correlation import ScoreVariances, assemble_working_covariance
+from wqreg.model import score_psi
+from wqreg.simulation import generate_dataset
+from wqreg.solver import SmoothingState, smoothed_estimating_function, smoothed_jacobian
 from wqreg.sparsity import identity_sparsity
 
 from conftest import random_dataset

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import wqreg.cli as cli
-from wqreg import SchemaError, SimConfig, SolverError, generate_dataset
+from wqreg import SchemaError, SimConfig, SolverError
+from wqreg.simulation import generate_dataset
 from wqreg.cli import (
     FitCommandSpec,
     ReportDocument,

@@ -3,21 +3,19 @@
 import numpy as np
 import pytest
 
-from wqreg import (
-    DataError,
-    LongitudinalDataset,
-    SimConfig,
-    Subject,
+from wqreg import DataError, LongitudinalDataset, SimConfig, Subject
+from wqreg.correlation import (
+    SIGMA_MIN,
+    ScoreVariances,
     assemble_working_covariance,
     build_stationary_correlation,
     estimate_lag_correlations,
-    generate_dataset,
     regularize_correlation,
     sigma_constant,
     sigma_empirical,
     standardized_scores,
 )
-from wqreg.correlation import SIGMA_MIN, ScoreVariances
+from wqreg.simulation import generate_dataset
 
 from conftest import random_dataset
 from oracle import indicator_correlation_oracle, subject_matrix

@@ -4,15 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from wqreg import (
-    DataError,
-    LongitudinalDataset,
-    Subject,
-    check_tau,
-    score_psi,
-    smoothed_score,
-    smoothed_score_density,
-)
+from wqreg import DataError, LongitudinalDataset, Subject
+from wqreg.model import check_tau, score_psi, smoothed_score, smoothed_score_density
 
 from oracle import check_loss, check_objective
 

@@ -12,17 +12,16 @@ from scipy.linalg import toeplitz
 from scipy.special import ndtr
 
 import wqreg
-from wqreg import (
+from wqreg import SimConfig, run_study
+from wqreg.simulation import (
     ReplicationRecord,
-    SimConfig,
     SimStudyReport,
+    _marginal_errors,
     ar1_covariance,
     generate_dataset,
-    run_study,
     sample_errors,
     summarize,
 )
-from wqreg.simulation import _marginal_errors
 
 
 def test_sim_config_validation():
@@ -106,13 +105,36 @@ def test_marginal_errors_equal_the_scipy_stats_formulas(tau):
 
 
 def test_package_import_leaves_scipy_stats_unloaded():
-    code = "import sys, wqreg, wqreg.cli; print('scipy.stats' in sys.modules)"
+    # a bare `import wqreg` must not load the CLI, which the benchmark imports separately
+    code = (
+        "import sys, wqreg; cli = 'wqreg.cli' in sys.modules; import wqreg.cli; "
+        "print(cli, 'scipy.stats' in sys.modules)"
+    )
     src = str(Path(wqreg.__file__).resolve().parent.parent)
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
+
+
+def test_package_surface_is_the_documented_one():
+    assert sorted(wqreg.__all__) == [
+        "DataError",
+        "FitResult",
+        "LongitudinalDataset",
+        "SchemaError",
+        "SimConfig",
+        "SolverError",
+        "Subject",
+        "WqregError",
+        "confidence_intervals",
+        "fit",
+        "fit_many",
+        "run_study",
+    ]
+    for name in wqreg.__all__:
+        assert getattr(wqreg, name) is not None
 
 
 def test_chisq_errors_are_skewed():

@@ -9,20 +9,20 @@ from wqreg import (
     DataError,
     LongitudinalDataset,
     SimConfig,
-    SmoothingState,
-    SolverConfig,
     SolverError,
     Subject,
     confidence_intervals,
     fit,
     fit_many,
-    generate_dataset,
+)
+from wqreg.model import score_psi, smoothed_score
+from wqreg.simulation import generate_dataset
+from wqreg.solver import (
+    SmoothingState,
     sandwich_covariance,
     score_covariance,
-    score_psi,
     smoothed_estimating_function,
     smoothed_jacobian,
-    smoothed_score,
 )
 from wqreg.correlation import (
     ScoreVariances,
@@ -47,13 +47,7 @@ def unit_weights(ds):
 
 def test_solver_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(max_outer_iterations=0)
-    with pytest.raises(ValueError):
-        SolverConfig(beta_tolerance=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(omega_tolerance=-1e-6)
-    with pytest.raises(ValueError):
-        SolverConfig(gamma_mode="kernel")
+        fit(scalar_dataset([1.0, 2.0, 3.0]), 0.5, "PQR", gamma_mode="kernel")
 
 
 def test_estimating_function_zero_at_zero_residuals():
@@ -354,6 +348,29 @@ def test_wi_equivariance(rng):
     res_scale = fit(scaled, 0.5, "WI")
     assert np.max(np.abs(res_scale.beta - c * base.beta)) < 1e-6 * c
 
+    # 1 to 6 occasions with singletons, in shuffled order: y -> c y + X delta
+    # moves beta to c beta + delta and scales the SEs by |c|
+    def subject(i, n):
+        X = np.column_stack([np.ones(n), rng.standard_normal(n)])
+        return Subject(id=i, covariates=X, responses=X @ [1.0, -0.5] + rng.standard_normal(n))
+
+    lengths = rng.permutation(np.repeat(np.arange(1, 7), 8))
+    ragged = LongitudinalDataset([subject(i, n) for i, n in enumerate(lengths)])
+    base = fit(ragged, 0.5, "WI")
+    for c in (1e-3, -2.5, 1e3):
+        moved = LongitudinalDataset(
+            [
+                Subject(id=s.id, covariates=s.covariates, responses=c * s.responses + s.covariates @ delta)
+                for s in ragged.subjects
+            ]
+        )
+        res = fit(moved, 0.5, "WI")
+        scale = abs(c) * base.std_errors
+        assert np.max(np.abs(res.beta - (c * base.beta + delta)) / scale) < 1e-9
+        # Omega stops once its relative change is below 1e-6, so the SEs of
+        # the two fixed points agree to about that; measured at most 8.8e-8
+        assert np.max(np.abs(res.std_errors / scale - 1.0)) < 1e-6
+
 
 def smoothed_wi_root(ds, tau, beta):
     """Joint root of the smoothed WI equation and its Omega fixed point:
@@ -377,8 +394,7 @@ def test_wi_pqr_coincide_at_zero_lags(rng, monkeypatch):
     monkeypatch.setattr(
         solver_mod, "estimate_lag_correlations", lambda d, s: np.zeros(d.max_n - 1)
     )
-    config = SolverConfig(gamma_mode="identity")
-    fits = fit_many(ds, 0.5, ["WI", "PQR"], config)
+    fits = fit_many(ds, 0.5, ["WI", "PQR"], gamma_mode="identity")
     # at zero lags and unit weights PQR solves the smoothed WI equation
     root = smoothed_wi_root(ds, 0.5, fits["WI"].beta)
     assert np.max(np.abs(fits["PQR"].beta - root)) <= 1e-6
@@ -403,9 +419,10 @@ def test_smoothing_equivalence_on_fixed_dataset(rng):
     assert gaps[-1] <= 1e-3
 
 
-def test_non_convergence_is_flagged_not_raised(rng):
+def test_non_convergence_is_flagged_not_raised(rng, monkeypatch):
     ds = random_dataset(rng, 30, 2, 2)
-    res = fit(ds, 0.5, "PQR", SolverConfig(max_outer_iterations=1))
+    monkeypatch.setattr(solver_mod, "MAX_OUTER_ITERATIONS", 1)
+    res = fit(ds, 0.5, "PQR")
     assert res.iterations == 1
     assert not res.converged
 
@@ -431,7 +448,7 @@ def test_fit_many_returns_requested_methods(rng):
 
 def test_identity_gamma_mode(rng):
     ds = random_dataset(rng, 30, 3, 2)
-    res = fit(ds, 0.5, "PQR", SolverConfig(gamma_mode="identity"))
+    res = fit(ds, 0.5, "PQR", gamma_mode="identity")
     assert res.converged
     ctx = res._context
     assert ctx["gamma"].mode == "identity"

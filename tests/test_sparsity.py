@@ -4,18 +4,15 @@ import numpy as np
 import pytest
 
 import wqreg.solver as solver_mod
-from wqreg import (
-    DataError,
-    SimConfig,
-    SolverConfig,
-    SolverError,
+from wqreg import DataError, SimConfig, SolverError, fit
+from wqreg.simulation import generate_dataset
+from wqreg.sparsity import (
+    F_MAX,
+    F_MIN,
     estimate_sparsity_hk,
-    fit,
-    generate_dataset,
     hall_sheather_bandwidth,
     identity_sparsity,
 )
-from wqreg.sparsity import F_MAX, F_MIN
 
 from conftest import scalar_dataset
 
@@ -82,7 +79,7 @@ def test_hk_clamped_range():
 def test_hk_falls_back_to_identity_when_an_lp_fails(monkeypatch):
     ds = scalar_dataset(np.linspace(0.0, 1.0, 40))
     exact = solver_mod._check_loss_minimizer
-    assert solver_mod._gamma_for(ds, 0.5, SolverConfig()).mode == "hk"
+    assert solver_mod._gamma_for(ds, 0.5, "hk").mode == "hk"
 
     def fail_above_median(X, y, tau):
         if tau > 0.5:
@@ -91,7 +88,7 @@ def test_hk_falls_back_to_identity_when_an_lp_fails(monkeypatch):
 
     # the LP at tau + h fails, the one at tau - h does not
     monkeypatch.setattr(solver_mod, "_check_loss_minimizer", fail_above_median)
-    w = solver_mod._gamma_for(ds, 0.5, SolverConfig())
+    w = solver_mod._gamma_for(ds, 0.5, "hk")
     assert w.mode == "identity"
     assert np.all(w.values == 1.0)
 
