@@ -1,11 +1,11 @@
 """Working covariance of the quantile scores.
 
 Builds Sigma_i = A_i^{1/2} C(rho) A_i^{1/2} from per-occasion score
-variances and the stationary lag-correlation moment estimator. Every
-Sigma_i is a leading block of the full Sigma, so the working covariance
-factors the full Sigma once per update and applies every Sigma_i^{-1} from
-that one triangular factor on the dataset's padded layout, by plain matrix
-products on every kernel evaluation.
+variances and the stationary lag-correlation moment estimator, both taken
+from column and Gram sums on the dataset's padded layout. Every Sigma_i is
+a leading block of the full Sigma, so the working covariance factors the
+full Sigma once per update, and one triangular product with the inverse
+factor whitens every subject's values at once.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .exceptions import DataError
 from .model import LongitudinalDataset, check_tau, score_psi
@@ -71,14 +72,8 @@ def sigma_empirical(dataset: LongitudinalDataset, beta: np.ndarray, tau: float) 
     is strictly negative at the supplied beta.
     """
     check_tau(tau)
-    resid = dataset.y - dataset.X @ beta
-    neg = resid < 0.0
-    max_n = dataset.max_n
-    counts = np.bincount(dataset.positions, minlength=max_n)
-    if np.any(counts == 0):
-        raise DataError("an occasion position has no observations")
-    hits = np.bincount(dataset.positions, weights=neg.astype(float), minlength=max_n)
-    p_hat = hits / counts
+    neg = dataset.pad((dataset.y - dataset.X @ beta < 0.0).astype(float))
+    p_hat = neg.sum(axis=0) / dataset.position_counts
     return ScoreVariances(p_hat * (1.0 - p_hat))
 
 
@@ -109,17 +104,16 @@ def estimate_lag_correlations(dataset: LongitudinalDataset, scores: np.ndarray) 
         raise ValueError("scores length does not match dataset")
     if dataset.max_n < 2:
         raise DataError("lag correlations need at least one subject with two occasions")
-    if np.all(scores == 0.0):
-        raise DataError("all standardized scores are zero")
     den = float(scores @ scores) / dataset.n_obs
-    positions = dataset.positions
-    rho = np.empty(dataset.max_n - 1)
-    for lag in range(1, dataset.max_n):
-        # flat row k + lag is in row k's subject exactly when it sits at
-        # position lag or later
-        pair = positions[lag:] >= lag
-        rho[lag - 1] = (scores[:-lag] * scores[lag:]) @ pair / np.count_nonzero(pair)
-    return np.clip(rho / den, -LAG_CLAMP, LAG_CLAMP)
+    if den == 0.0:
+        raise DataError("all standardized scores are zero")
+    S = dataset.pad(scores)
+    gram = S.T @ S
+    # the products of pairs (j - l, j) sum along the l-th subdiagonal of
+    # S'S; the upper triangle goes to bin 0, which is not used
+    r = np.arange(dataset.max_n)
+    pair_sums = np.bincount(np.maximum(np.subtract.outer(r, r), 0).ravel(), gram.ravel())[1:]
+    return np.clip(pair_sums / dataset.lag_pairs[1:] / den, -LAG_CLAMP, LAG_CLAMP)
 
 
 def build_stationary_correlation(rho: np.ndarray, n: int) -> np.ndarray:
@@ -156,21 +150,16 @@ def regularize_correlation(C: np.ndarray) -> np.ndarray:
 
 
 class WorkingCovariance:
-    """Per-subject Sigma_i applied through one triangular factor.
+    """Per-subject Sigma_i^{-1} = L_i^{-T} L_i^{-1} from one triangular factor.
 
     Sigma_n is the leading n x n block of the full Sigma, so with L the
     Cholesky factor of the full Sigma (which also rejects a Sigma that is
-    not PD), Sigma_n^{-1} = L_n^{-T} L_n^{-1}, where L_n^{-1} is the leading
-    block of L^{-1}. On the padded layout, Sigma_i^{-1} v_i is L^{-T} applied
-    to L^{-1} v_i with the entries past n_i zeroed; L^{-1} is kept exactly
-    lower triangular, so the padding of the result is exactly zero. One
-    factor and one inverse per update serve every subject, and U, G and V
-    apply them to all subjects at once by plain matrix products, with no
-    LAPACK call per evaluation. Sigma has one row per occasion and a
-    regularised correlation, so the explicit inverse loses no accuracy that
-    matters. A LAPACK solve per evaluation costs more than the product, and
-    in a process pool each worker's LAPACK threads contend with the other
-    workers for the cores.
+    not PD), L_n^{-1} is the leading block of L^{-1}. ``whiten`` applies
+    every subject's L_i^{-1} by one product with L^{-1}, which is exactly
+    lower triangular: the padding of an input never reaches a valid row of
+    the output, and the padding of the output is zeroed. Sigma has one row
+    per occasion and a regularised correlation, so the explicit inverse
+    loses no accuracy that matters, and no LAPACK call runs per evaluation.
     """
 
     def __init__(self, variances: ScoreVariances, correlation: np.ndarray,
@@ -181,24 +170,18 @@ class WorkingCovariance:
         if self.correlation.shape != (max_n, max_n):
             raise ValueError("correlation matrix does not match the occasion count")
         sd = np.sqrt(variances.per_position[:max_n])
-        factor = np.linalg.cholesky(sd[:, None] * self.correlation * sd[None, :])
-        # the pivoted inverse leaves rounding above the diagonal, which would
-        # leak into the padding
-        self._l_inv = np.tril(np.linalg.inv(factor))
+        # potrf zeroes the upper triangle and trtri leaves it alone
+        factor, info = lapack.dpotrf(sd[:, None] * self.correlation * sd[None, :], lower=1)
+        if info == 0:
+            self._l_inv, info = lapack.dtrtri(factor, lower=1)
+        if info != 0:
+            raise np.linalg.LinAlgError("working covariance is not positive definite")
         self._mask = dataset.mask
 
-    def solve_vectors(self, values: np.ndarray) -> np.ndarray:
-        """Sigma_i^{-1} v_i for padded (m, max_n) per-subject vectors."""
-        return ((values @ self._l_inv.T) * self._mask) @ self._l_inv
-
-    def solve_blocks(self, blocks: np.ndarray) -> np.ndarray:
-        """Sigma_i^{-1} B_i for padded (m, max_n, p) per-subject matrices."""
-        m, n, p = blocks.shape
-        flat = blocks.transpose(1, 0, 2).reshape(n, m * p)
-        half = (self._l_inv @ flat).reshape(n, m, p)
-        half *= self._mask.T[:, :, None]
-        out = self._l_inv.T @ half.reshape(n, m * p)
-        return out.reshape(n, m, p).transpose(1, 0, 2)
+    def whiten(self, values: np.ndarray) -> np.ndarray:
+        """L_i^{-1} v_i for padded (..., m, max_n) values, zero in the padding."""
+        flat = values.reshape(-1, values.shape[-1])
+        return (flat @ self._l_inv.T).reshape(values.shape) * self._mask
 
 
 def assemble_working_covariance(

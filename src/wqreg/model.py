@@ -90,7 +90,8 @@ class LongitudinalDataset:
     Besides the per-subject view, the constructor caches a stacked design
     matrix, with the rows of each subject in turn, and a padded layout: row i
     of an (m, max_n) array holds subject i's occasions, followed by zeros
-    where ``mask`` is False. The solver applies every subject's working
+    where ``mask`` is False, and the design on it as p contiguous columns,
+    ``X_cols`` (p, m, max_n). The solver applies every subject's working
     covariance at once on that layout.
     """
 
@@ -108,11 +109,15 @@ class LongitudinalDataset:
         self.X = np.vstack([s.covariates for s in self.subjects])
         self.y = np.concatenate([s.responses for s in self.subjects])
         self.lengths = np.array([s.n for s in self.subjects], dtype=int)
+        self.max_n = int(self.lengths.max())
         self.offsets = np.concatenate([[0], np.cumsum(self.lengths)])
         # flat occasion position (0-based within subject) per observation
         self.positions = np.concatenate([np.arange(n) for n in self.lengths])
         self.mask = np.arange(self.max_n) < self.lengths[:, None]
-        self.X_pad = self.pad(self.X)
+        # subjects observed per position; a pair at lag l ends at a position j >= l
+        self.position_counts = self.mask.sum(axis=0)
+        self.lag_pairs = np.cumsum(self.position_counts[::-1])[::-1]
+        self.X_cols = np.ascontiguousarray(self.pad(self.X).transpose(2, 0, 1))
 
     @property
     def m(self) -> int:
@@ -121,10 +126,6 @@ class LongitudinalDataset:
     @property
     def n_obs(self) -> int:
         return int(self.y.shape[0])
-
-    @property
-    def max_n(self) -> int:
-        return int(self.lengths.max())
 
     def pad(self, values: np.ndarray) -> np.ndarray:
         """Per-observation values (n_obs, ...) in the padded (m, max_n, ...)

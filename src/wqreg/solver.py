@@ -2,13 +2,15 @@
 
 The estimating function, its Jacobian and the score covariance are shared
 by all methods; WI, PQR and AQR differ only in the weights they feed in
-(Gamma, C, sigma); U~ = sum_i v_i and cov(U~) = sum_i v_i v_i' come from
-one pass over the per-subject terms v_i. The weighted fits (PQR, AQR) run
-one Newton loop with a joint Omega update, forming G~, U~ and cov(U~) at
-one smoothing state per iteration, and every converged weighted fit gets
-one refinement phase: a final Newton pass at frozen weights so that beta
-is a machine-precision root of the smoothed equation. Both take the same
-Newton step with one halving line search.
+(Gamma, C, sigma). Each kernel whitens per-observation values with the
+working covariance (one triangular product) and takes inner products with
+the whitened design A_i = L_i^{-1} Gamma_i X_i, formed once per (Gamma,
+Sigma); U~ = sum_i v_i and cov(U~) = sum_i v_i v_i' come from one pass.
+The weighted fits (PQR, AQR) run one Newton loop with a joint Omega
+update, in which one inverse of G~ serves its condition check, the Newton
+step and the sandwich. A converged weighted fit ends with Newton steps at
+frozen weights, so that beta is a machine-precision root of the smoothed
+equation; both take the same halving line search.
 
 The WI estimate itself is the exact minimizer of the check-loss objective,
 the Koenker-Bassett linear program. A Frisch-Newton interior point solves
@@ -106,7 +108,7 @@ class SmoothingState:
 
 
 def _radii(X: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    r = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", X, omega, X), 0.0))
+    r = np.sqrt(np.maximum(((X @ omega) * X) @ np.ones(X.shape[1]), 0.0))
     return np.maximum(r, RADII_FLOOR)
 
 
@@ -115,11 +117,35 @@ def _radii(X: np.ndarray, omega: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _score_terms(dataset, beta, state, gamma, sigma, tau) -> np.ndarray:
-    """Per-subject v_i = X_i' Gamma_i Sigma_i^{-1} psi~(y_i - X_i beta), one row each."""
+def _design(dataset, gamma, sigma) -> np.ndarray:
+    """Whitened design A_i = L_i^{-1} Gamma_i X_i, (p, m, max_n)."""
+    return sigma.whiten(dataset.pad(gamma.values) * dataset.X_cols)
+
+
+def _score_terms(dataset, beta, state, A, sigma, tau) -> np.ndarray:
+    """Per-subject v_i = A_i' L_i^{-1} psi~(y_i - X_i beta), one column each."""
     psi = smoothed_score(dataset.y - dataset.X @ beta, state.radii, tau)
-    q = sigma.solve_vectors(dataset.pad(psi))
-    return np.einsum("inp,in->ip", dataset.X_pad, dataset.pad(gamma.values) * q)
+    return (A * sigma.whiten(dataset.pad(psi))) @ np.ones(dataset.max_n)
+
+
+def _inverse(G: np.ndarray) -> np.ndarray:
+    """G^{-1}; SolverError when the 1-norm condition number of G exceeds COND_MAX."""
+    try:
+        G_inv = np.linalg.inv(G)
+        # the negated comparison also catches a NaN condition number (G not finite)
+        if np.linalg.norm(G, 1) * np.linalg.norm(G_inv, 1) <= COND_MAX:
+            return G_inv
+    except np.linalg.LinAlgError:
+        pass
+    raise SolverError("smoothed Jacobian is numerically singular")
+
+
+def _jacobian(dataset, beta, state, A, sigma):
+    """G~ = sum_i A_i' L_i^{-1} Lambda~_i X_i and its inverse."""
+    lam = smoothed_score_density(dataset.y - dataset.X @ beta, state.radii)
+    B = sigma.whiten(dataset.pad(lam) * dataset.X_cols)
+    G = A.reshape(dataset.p, -1) @ B.reshape(dataset.p, -1).T
+    return G, _inverse(G)
 
 
 def smoothed_estimating_function(
@@ -131,7 +157,8 @@ def smoothed_estimating_function(
     tau: float,
 ) -> np.ndarray:
     """U~(beta) = sum_i X_i' Gamma_i Sigma_i^{-1} psi~(y_i - X_i beta)."""
-    return _score_terms(dataset, beta, state, gamma, sigma, tau).sum(axis=0)
+    A = _design(dataset, gamma, sigma)
+    return _score_terms(dataset, beta, state, A, sigma, tau).sum(axis=1)
 
 
 def smoothed_jacobian(
@@ -144,17 +171,10 @@ def smoothed_jacobian(
 ) -> np.ndarray:
     """G~ = sum_i X_i' Gamma_i Sigma_i^{-1} Lambda~_i X_i (minus dU/dbeta).
 
-    Raises SolverError when the assembled matrix has condition number above
-    1e12; the smoothed system is then numerically singular.
+    Raises SolverError when the assembled matrix has 1-norm condition
+    number above 1e12; the smoothed system is then numerically singular.
     """
-    lam = smoothed_score_density(dataset.y - dataset.X @ beta, state.radii)
-    X_pad, p = dataset.X_pad, dataset.p
-    M = sigma.solve_blocks(dataset.pad(lam)[:, :, None] * X_pad)
-    G = (dataset.pad(gamma.values)[:, :, None] * X_pad).reshape(-1, p).T @ M.reshape(-1, p)
-    # the negated comparison also catches a NaN condition number (zero matrix)
-    if not np.all(np.isfinite(G)) or not (np.linalg.cond(G) <= COND_MAX):
-        raise SolverError("smoothed Jacobian is numerically singular")
-    return G
+    return _jacobian(dataset, beta, state, _design(dataset, gamma, sigma), sigma)[0]
 
 
 def score_covariance(
@@ -166,15 +186,14 @@ def score_covariance(
     tau: float,
 ) -> np.ndarray:
     """cov(U~) = sum_i v_i v_i' with v_i = X_i' Gamma_i Sigma_i^{-1} psi~_i."""
-    v = _score_terms(dataset, beta, state, gamma, sigma, tau)
-    return v.T @ v
+    v = _score_terms(dataset, beta, state, _design(dataset, gamma, sigma), sigma, tau)
+    return v @ v.T
 
 
-def _sandwich(G: np.ndarray, V: np.ndarray) -> np.ndarray:
-    # Omega = G^{-1} V G^{-T}, computed through two solves
-    W = np.linalg.solve(G, V)
-    omega = np.linalg.solve(G, W.T).T
-    return 0.5 * (omega + omega.T)
+def _sandwich(G_inv: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # Omega = G^{-1} (v v') G^{-T} = H H', exactly symmetric
+    H = G_inv @ v
+    return H @ H.T
 
 
 def sandwich_covariance(
@@ -186,9 +205,9 @@ def sandwich_covariance(
     tau: float,
 ) -> np.ndarray:
     """Sandwich estimate G~^{-1} cov(U~) G~^{-T} of the covariance of beta."""
-    G = smoothed_jacobian(dataset, beta, state, gamma, sigma, tau)
-    V = score_covariance(dataset, beta, state, gamma, sigma, tau)
-    return _sandwich(G, V)
+    A = _design(dataset, gamma, sigma)
+    G_inv = _jacobian(dataset, beta, state, A, sigma)[1]
+    return _sandwich(G_inv, _score_terms(dataset, beta, state, A, sigma, tau))
 
 
 def confidence_intervals(result: FitResult, level: float = 0.95) -> np.ndarray:
@@ -203,11 +222,6 @@ def confidence_intervals(result: FitResult, level: float = 0.95) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # weight construction per method
 # ---------------------------------------------------------------------------
-
-
-def _wi_sigma(dataset: LongitudinalDataset, tau: float) -> WorkingCovariance:
-    variances = ScoreVariances(np.full(dataset.max_n, sigma_constant(tau)))
-    return assemble_working_covariance(variances, np.eye(dataset.max_n), dataset)
 
 
 def _weighted_sigma(dataset: LongitudinalDataset, beta, tau: float, method: str):
@@ -229,8 +243,8 @@ def _weighted_sigma(dataset: LongitudinalDataset, beta, tau: float, method: str)
 # ---------------------------------------------------------------------------
 
 
-def _jacobian_with_inflation(dataset, beta, state, gamma, sigma, tau):
-    """Jacobian guarded against kernel underflow.
+def _jacobian_with_inflation(dataset, beta, state, A, sigma):
+    """Inverse Jacobian guarded against kernel underflow.
 
     When every residual sits far outside its smoothing radius the Gaussian
     kernel underflows and G~ degenerates. Inflating Omega widens the radii
@@ -240,7 +254,7 @@ def _jacobian_with_inflation(dataset, beta, state, gamma, sigma, tau):
     """
     for _ in range(INFLATE_MAX):
         try:
-            return smoothed_jacobian(dataset, beta, state, gamma, sigma, tau), state
+            return _jacobian(dataset, beta, state, A, sigma)[1], state
         except SolverError:
             state = SmoothingState.from_omega(dataset, state.omega * 10.0)
     raise SolverError("smoothed Jacobian stayed singular under radius inflation")
@@ -254,17 +268,17 @@ def _relative_change(new, old) -> float:
     return float(np.linalg.norm(new - old) / max(np.linalg.norm(old), 1e-300))
 
 
-def _newton_step(dataset, beta, U, G, state, gamma, sigma, tau):
+def _newton_step(dataset, beta, U, G_inv, state, A, sigma, tau):
     """Newton step for U~ = 0 from beta, halved until |U~| falls.
 
     Returns the accepted beta with U~ there. When MAX_HALVINGS trials never
     lower |U~|, returns the step halved once more and None in place of U~.
     """
-    step = np.linalg.solve(G, U)
+    step = G_inv @ U
     norm0 = np.linalg.norm(U)
     for k in range(MAX_HALVINGS):
         trial = beta + 0.5**k * step
-        U_trial = smoothed_estimating_function(dataset, trial, state, gamma, sigma, tau)
+        U_trial = _score_terms(dataset, trial, state, A, sigma, tau).sum(axis=1)
         if np.linalg.norm(U_trial) < norm0:
             return trial, U_trial
     return beta + 0.5**MAX_HALVINGS * step, None
@@ -278,10 +292,11 @@ def _newton_loop(dataset, tau, method, beta0, gamma):
     converged = False
     for it in range(MAX_OUTER_ITERATIONS):
         sigma, rho_hat = _weighted_sigma(dataset, beta, tau, method)
-        G, state = _jacobian_with_inflation(dataset, beta, state, gamma, sigma, tau)
-        v = _score_terms(dataset, beta, state, gamma, sigma, tau)
-        beta_new, _ = _newton_step(dataset, beta, v.sum(axis=0), G, state, gamma, sigma, tau)
-        omega_new = _sandwich(G, v.T @ v)
+        A = _design(dataset, gamma, sigma)
+        G_inv, state = _jacobian_with_inflation(dataset, beta, state, A, sigma)
+        v = _score_terms(dataset, beta, state, A, sigma, tau)
+        beta_new, _ = _newton_step(dataset, beta, v.sum(axis=1), G_inv, state, A, sigma, tau)
+        omega_new = _sandwich(G_inv, v)
         delta_beta = float(np.max(np.abs(beta_new - beta)))
         delta_omega = _relative_change(omega_new, state.omega)
         beta = beta_new
@@ -296,7 +311,8 @@ def _refine_root(dataset, beta, state, gamma, sigma, tau):
     """Newton at frozen weights until the smoothed score is a numerical zero;
     stops where the Jacobian is singular or the halvings run out, and returns
     the iterate with the smallest sup |U~|."""
-    U = smoothed_estimating_function(dataset, beta, state, gamma, sigma, tau)
+    A = _design(dataset, gamma, sigma)
+    U = _score_terms(dataset, beta, state, A, sigma, tau).sum(axis=1)
     best_beta, best_norm = beta, np.inf
     for _ in range(30):
         sup = float(np.max(np.abs(U)))
@@ -305,10 +321,10 @@ def _refine_root(dataset, beta, state, gamma, sigma, tau):
         if sup <= 1e-9:
             break
         try:
-            G = smoothed_jacobian(dataset, beta, state, gamma, sigma, tau)
-            beta, U = _newton_step(dataset, beta, U, G, state, gamma, sigma, tau)
-        except (SolverError, np.linalg.LinAlgError):
+            G_inv = _jacobian(dataset, beta, state, A, sigma)[1]
+        except SolverError:
             break
+        beta, U = _newton_step(dataset, beta, U, G_inv, state, A, sigma, tau)
         if U is None:
             break
     return best_beta
@@ -319,10 +335,12 @@ def _refine_root(dataset, beta, state, gamma, sigma, tau):
 # ---------------------------------------------------------------------------
 
 
-def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
-    """Largest step in [0, 1] that keeps v + step * dv nonnegative."""
-    down = dv < 0.0
-    return min(1.0, float(np.min(v[down] / -dv[down]))) if down.any() else 1.0
+def _max_step(u, du, v, dv) -> float:
+    """Largest step in [0, 1] keeping the positive u + step du and v + step dv
+    nonnegative; an entry that does not fall gives inf / |d| = inf, also at d = 0."""
+    bound = np.minimum(np.where(du < 0.0, u, np.inf) / np.abs(du),
+                       np.where(dv < 0.0, v, np.inf) / np.abs(dv))
+    return min(1.0, float(bound.min()))
 
 
 def _interior_point(X: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
@@ -361,14 +379,14 @@ def _interior_point(X: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
 
         # predictor: the affine-scaling direction, then its centring target
         da, dbeta, dz, dw = direction(-a * z, -s * w)
-        ap = min(_max_step(a, da), _max_step(s, -da))
-        ad = min(_max_step(z, dz), _max_step(w, dw))
+        ap = _max_step(a, da, s, -da)
+        ad = _max_step(z, dz, w, dw)
         gap_aff = (a + ap * da) @ (z + ad * dz) + (s - ap * da) @ (w + ad * dw)
         mu = (gap_aff / gap) ** 3 * gap / (2 * N)
         # corrector with the second-order terms of the predictor
         da, dbeta, dz, dw = direction(mu - a * z - da * dz, mu - s * w + da * dw)
-        ap = IPM_STEP_FRACTION * min(_max_step(a, da), _max_step(s, -da))
-        ad = IPM_STEP_FRACTION * min(_max_step(z, dz), _max_step(w, dw))
+        ap = IPM_STEP_FRACTION * _max_step(a, da, s, -da)
+        ad = IPM_STEP_FRACTION * _max_step(z, dz, w, dw)
         a, s = a + ap * da, s - ap * da
         beta, z, w = beta + ad * dbeta, z + ad * dz, w + ad * dw
     return a
@@ -479,11 +497,13 @@ def _fit_wi(dataset: LongitudinalDataset, tau: float, beta: np.ndarray) -> FitRe
     is a verified fixed point and ``iterations`` counts the updates.
     """
     gamma = identity_sparsity(dataset)
-    sigma = _wi_sigma(dataset, tau)
+    variances = ScoreVariances(np.full(dataset.max_n, sigma_constant(tau)))
+    sigma = assemble_working_covariance(variances, np.eye(dataset.max_n), dataset)
+    A = _design(dataset, gamma, sigma)
     state = _initial_state(dataset)
     for it in range(MAX_OUTER_ITERATIONS):
-        G, state = _jacobian_with_inflation(dataset, beta, state, gamma, sigma, tau)
-        omega = _sandwich(G, score_covariance(dataset, beta, state, gamma, sigma, tau))
+        G_inv, state = _jacobian_with_inflation(dataset, beta, state, A, sigma)
+        omega = _sandwich(G_inv, _score_terms(dataset, beta, state, A, sigma, tau))
         converged = _relative_change(omega, state.omega) < OMEGA_TOLERANCE
         state = SmoothingState.from_omega(dataset, omega)
         if converged:
@@ -493,13 +513,7 @@ def _fit_wi(dataset: LongitudinalDataset, tau: float, beta: np.ndarray) -> FitRe
     )
 
 
-def _fit_weighted(
-    dataset: LongitudinalDataset,
-    tau: float,
-    method: str,
-    beta0: np.ndarray,
-    gamma: SparsityWeights,
-) -> FitResult:
+def _fit_weighted(dataset, tau, method, beta0, gamma) -> FitResult:
     beta, state, sigma, rho_hat, iterations, converged = _newton_loop(
         dataset, tau, method, beta0, gamma
     )
@@ -507,7 +521,7 @@ def _fit_weighted(
         beta = _refine_root(dataset, beta, state, gamma, sigma, tau)
     try:
         omega = sandwich_covariance(dataset, beta, state, gamma, sigma, tau)
-    except (SolverError, np.linalg.LinAlgError):
+    except SolverError:
         omega = None
     return _fit_result(
         dataset, tau, method, beta, omega, state, gamma, sigma, rho_hat, iterations, converged

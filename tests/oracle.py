@@ -25,6 +25,8 @@ __all__ = [
     "exact_wi_fit",
     "finite_difference_jacobian",
     "indicator_correlation_oracle",
+    "empirical_variance_oracle",
+    "lag_correlation_oracle",
 ]
 
 MAX_OBS = 40
@@ -112,3 +114,28 @@ def indicator_correlation_oracle(rho: float) -> float:
     if not abs(rho) < 1.0:
         raise ValueError("rho must lie in (-1, 1)")
     return 2.0 / np.pi * float(np.arcsin(rho))
+
+
+def empirical_variance_oracle(dataset: LongitudinalDataset, beta: np.ndarray) -> np.ndarray:
+    """p_j (1 - p_j) per occasion from per-position counts over the flat rows,
+    before the SIGMA_MIN floor."""
+    neg = dataset.y - dataset.X @ beta < 0.0
+    counts = np.bincount(dataset.positions, minlength=dataset.max_n)
+    hits = np.bincount(dataset.positions, weights=neg.astype(float), minlength=dataset.max_n)
+    p_hat = hits / counts
+    return p_hat * (1.0 - p_hat)
+
+
+def lag_correlation_oracle(dataset: LongitudinalDataset, scores: np.ndarray) -> np.ndarray:
+    """Lag correlations from one pass over the flat rows per lag, unclamped.
+
+    Flat row k + l belongs to row k's subject exactly when it sits at
+    position l or later.
+    """
+    scores = np.asarray(scores, dtype=float)
+    positions = dataset.positions
+    rho = np.empty(dataset.max_n - 1)
+    for lag in range(1, dataset.max_n):
+        pair = positions[lag:] >= lag
+        rho[lag - 1] = (scores[:-lag] * scores[lag:]) @ pair / np.count_nonzero(pair)
+    return rho / (float(scores @ scores) / dataset.n_obs)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wqreg import DataError, LongitudinalDataset, SimConfig, Subject
 from wqreg.correlation import (
@@ -18,7 +20,12 @@ from wqreg.correlation import (
 from wqreg.simulation import generate_dataset
 
 from conftest import random_dataset
-from oracle import indicator_correlation_oracle, subject_matrix
+from oracle import (
+    empirical_variance_oracle,
+    indicator_correlation_oracle,
+    lag_correlation_oracle,
+    subject_matrix,
+)
 
 
 def panel(rows):
@@ -142,6 +149,31 @@ def test_lag_correlations_pool_within_subject_pairs_of_an_unbalanced_panel(rng):
     assert np.max(np.abs(got - np.clip(want, -0.99, 0.99))) <= 1e-12
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lengths=st.lists(st.integers(1, 12), min_size=1, max_size=40),
+    tau=st.floats(0.05, 0.95),
+)
+def test_padded_moments_match_the_flat_row_oracle(seed, lengths, tau):
+    # every panel has a singleton and a subject with two occasions
+    rng = np.random.default_rng(seed)
+    ds = panel(
+        [
+            (np.column_stack([np.ones(n), rng.standard_normal(n)]), rng.standard_normal(n))
+            for n in [1, *lengths, 2]
+        ]
+    )
+    beta = 0.5 * rng.standard_normal(2)
+    variances = sigma_empirical(ds, beta, tau)
+    want = np.maximum(empirical_variance_oracle(ds, beta), SIGMA_MIN)
+    assert np.max(np.abs(variances.per_position - want)) <= 1e-12 * np.max(want)
+    # correlations have scale 1, so an absolute 1e-12 is relative to it
+    for scores in (standardized_scores(ds, beta, tau, variances), rng.standard_normal(ds.n_obs)):
+        want = np.clip(lag_correlation_oracle(ds, scores), -0.99, 0.99)
+        assert np.max(np.abs(estimate_lag_correlations(ds, scores) - want)) <= 1e-12
+
+
 def test_lag_correlations_recover_indicator_correlation():
     config = SimConfig(m=5000, n=4, rho=0.9, error_case="normal", taus=(0.5,), replications=1, master_seed=5)
     ds = generate_dataset(config, 0)
@@ -212,14 +244,15 @@ def test_assemble_working_covariance_solves(rng):
     assert np.max(np.abs(sigma - sigma.T)) <= 1e-12
     assert np.allclose(np.diag(sigma), v.per_position, atol=1e-12)
 
+    # (L_i^{-1} u)'(L_i^{-1} w) = u' Sigma_i^{-1} w for vectors and for
+    # the (p, m, max_n) column layout of blocks
     vec = rng.standard_normal((10, 4))
-    solved = cov.solve_vectors(vec)
-    assert np.max(np.abs(solved @ sigma - vec)) < 1e-10
-
-    blocks = rng.standard_normal((10, 4, 2))
-    solved_b = cov.solve_blocks(blocks)
-    recon = np.einsum("jk,gkp->gjp", sigma, solved_b)
-    assert np.max(np.abs(recon - blocks)) < 1e-10
+    blocks = rng.standard_normal((2, 10, 4))
+    white = cov.whiten(vec)
+    solved = np.linalg.solve(sigma, vec.T).T
+    assert np.max(np.abs((white * white).sum(axis=1) - (vec * solved).sum(axis=1))) < 1e-10
+    forms = (cov.whiten(blocks) * white).sum(axis=2)
+    assert np.max(np.abs(forms - (blocks * solved).sum(axis=2))) < 1e-10
 
     # unbalanced panels (1 to 12 occasions), a correlation that needed
     # shrinking, lags at the clamp, and variances at the floor
@@ -245,15 +278,17 @@ def test_assemble_working_covariance_solves(rng):
         # a PD correlation is used as passed in: the shrinkage did not run
         assert np.array_equal(cov.correlation, C) != shrinks
         vec = ds.pad(rng.standard_normal(ds.n_obs))
-        blocks = ds.pad(rng.standard_normal((ds.n_obs, 3)))
-        got = cov.solve_vectors(vec)
-        got_b = cov.solve_blocks(blocks)
-        # the padding must stay exactly zero, not merely small
-        assert np.all(got[~ds.mask] == 0.0) and np.all(got_b[~ds.mask] == 0.0)
+        blocks = ds.pad(rng.standard_normal((ds.n_obs, 3))).transpose(2, 0, 1)
+        got = cov.whiten(vec)
+        got_b = cov.whiten(blocks)
+        # the padding must stay exactly zero, not merely small, and values
+        # in the padding of the input must not reach the valid rows
+        assert np.all(got[~ds.mask] == 0.0) and np.all(got_b[:, ~ds.mask] == 0.0)
+        assert np.array_equal(cov.whiten(vec + rng.standard_normal(vec.shape) * ~ds.mask), got)
         for i, n in enumerate(ds.lengths):
             sigma = subject_matrix(cov, ds, i)
-            want = np.linalg.solve(sigma, vec[i, :n])
-            assert np.max(np.abs(got[i, :n] - want)) <= 1e-8 * np.max(np.abs(want)), n
-            want_b = np.linalg.solve(sigma, blocks[i, :n])
-            assert np.max(np.abs(got_b[i, :n] - want_b)) <= 1e-8 * np.max(np.abs(want_b)), n
+            want = vec[i, :n] @ np.linalg.solve(sigma, vec[i, :n])
+            assert abs(got[i] @ got[i] - want) <= 1e-8 * abs(want), n
+            want_b = blocks[:, i, :n] @ np.linalg.solve(sigma, vec[i, :n])
+            assert np.max(np.abs(got_b[:, i] @ got[i] - want_b)) <= 1e-8 * np.max(np.abs(want_b)), n
     assert not np.array_equal(cov.correlation, raw)  # the shrinkage fired

@@ -154,9 +154,10 @@ def test_dataset_shapes_and_grouping():
     assert list(ds.positions) == [0, 1, 0, 0, 1]
     assert np.array_equal(ds.mask, [[True, True], [True, False], [True, True]])
     assert np.array_equal(ds.pad(ds.y), [[1.0, 2.0], [3.0, 0.0], [4.0, 5.0]])
-    assert ds.X_pad.shape == (3, 2, 2)
-    assert np.array_equal(ds.X_pad[1], [[1.0, 2.0], [0.0, 0.0]])
-    assert np.array_equal(ds.X_pad[ds.mask], ds.X)
+    assert list(ds.position_counts) == [3, 2] and list(ds.lag_pairs) == [5, 2]
+    assert ds.X_cols.shape == (2, 3, 2) and ds.X_cols.flags.c_contiguous
+    assert np.array_equal(ds.X_cols[:, 1], [[1.0, 0.0], [2.0, 0.0]])
+    assert np.array_equal(ds.X_cols[:, ds.mask].T, ds.X)
 
 
 def test_dataset_rejects_mixed_dimensions_and_empty():

@@ -159,6 +159,21 @@ def test_jacobian_raises_on_singular_system():
         smoothed_jacobian(ds, np.array([0.0]), state, gamma, sigma, 0.5)
 
 
+def test_jacobian_condition_limit():
+    # kappa_1 = ||G||_1 ||G^{-1}||_1, equal to kappa_2 for a diagonal G: just
+    # above COND_MAX is singular, just below it and a well-conditioned G pass
+    limit = solver_mod.COND_MAX
+    with pytest.raises(SolverError):
+        solver_mod._inverse(np.diag([1.0, 1.0 / (1.001 * limit)]))
+    near = np.diag([1.0, 1.0 / (0.999 * limit)])
+    assert np.array_equal(solver_mod._inverse(near), np.linalg.inv(near))
+    G = np.array([[2.0, 1.0], [1.0, 3.0]])
+    assert np.max(np.abs(solver_mod._inverse(G) @ G - np.eye(2))) <= 1e-15
+    for bad in (np.zeros((2, 2)), np.array([[1.0, np.nan], [0.0, 1.0]])):
+        with pytest.raises(SolverError):
+            solver_mod._inverse(bad)
+
+
 def test_score_covariance_structure(rng):
     ds = scalar_dataset([2.0, 2.0])
     gamma, sigma = wi_weights(ds)
