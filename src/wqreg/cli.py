@@ -18,7 +18,7 @@ from importlib.metadata import PackageNotFoundError, version
 import numpy as np
 
 from .exceptions import DataError, SchemaError, SolverError, WqregError
-from .model import LongitudinalDataset, Subject, check_tau
+from .model import LongitudinalDataset, check_tau
 from .simulation import SimConfig, run_study
 from .solver import confidence_intervals, fit
 
@@ -123,56 +123,57 @@ def parse_report(path: str):
 
 
 def _load_csv_details(path: str, spec: FitCommandSpec):
-    needed = [spec.response] + list(spec.covariates)
-    for a, b in spec.interactions:
-        for col in (a, b):
-            if col not in needed:
-                needed.append(col)
+    if not spec.covariates and not spec.intercept:
+        raise SchemaError("need at least one covariate or an intercept")
+    factors = [c for pair in spec.interactions for c in pair]
+    needed = list(dict.fromkeys([spec.response, *spec.covariates, *factors]))  # each column once
     try:
         fh = open(path, encoding="utf-8", newline="")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        # a repeated header name takes its last column, as in csv.DictReader
+        column = {name: k for k, name in enumerate(next(reader, []))}
         for col in [spec.subject_id] + needed:
-            if col not in header:
+            if col not in column:
                 raise SchemaError(f"column {col!r} not found in {path}")
-        groups: dict = {}
+        id_col, value_cols = column[spec.subject_id], [column[c] for c in needed]
+        codes: dict = {}  # subject id -> index in first-appearance order
+        subject, values = [], []
         dropped = 0
         for record in reader:
-            sid = (record.get(spec.subject_id) or "").strip()
+            if not record:
+                continue  # a blank line is no row
+            try:
+                sid = record[id_col].strip()
+                row = [float(record[k]) for k in value_cols]
+            except (IndexError, ValueError):  # a short row or a non-numeric field
+                sid = ""
             if not sid:
                 dropped += 1
                 continue
-            try:
-                values = {col: float(record[col]) for col in needed}
-            except (TypeError, ValueError):
-                dropped += 1
-                continue
-            row = [1.0] if spec.intercept else []
-            row += [values[c] for c in spec.covariates]
-            row += [values[a] * values[b] for a, b in spec.interactions]
-            groups.setdefault(sid, []).append((row, values[spec.response]))
-    if not groups:
+            values.append(row)
+            subject.append(codes.setdefault(sid, len(codes)))
+    if not codes:
         raise DataError(f"no usable rows in {path}")
-    subjects = [
-        Subject(
-            id=sid,
-            covariates=np.array([r for r, _ in rows]),
-            responses=np.array([y for _, y in rows]),
-        )
-        for sid, rows in groups.items()
-    ]
-    dataset = LongitudinalDataset(subjects)
+    # rows grouped by subject, each subject's rows in file order
+    cols = dict(zip(needed, np.array(values)[np.argsort(subject, kind="stable")].T))
+    design = [np.ones(len(values))] if spec.intercept else []
+    design += [cols[c] for c in spec.covariates]
+    design += [cols[a] * cols[b] for a, b in spec.interactions]
+    dataset = LongitudinalDataset.from_rows(
+        np.column_stack(design), cols[spec.response], np.bincount(subject), list(codes)
+    )
     if dropped:
         print(f"warning: dropped {dropped} rows with missing or non-numeric fields", file=sys.stderr)
     return dataset, dropped
 
 
 def load_csv(path: str, spec: FitCommandSpec) -> LongitudinalDataset:
-    """Long-format CSV to dataset: grouped by id in first-appearance order,
-    rows with missing or non-numeric required fields dropped with a warning."""
+    """Long-format CSV to dataset: rows grouped by id in first-appearance
+    order, in file order within a subject; rows with missing or non-numeric
+    required fields dropped with a warning, blank lines skipped."""
     return _load_csv_details(path, spec)[0]
 
 
@@ -184,8 +185,6 @@ def load_csv(path: str, spec: FitCommandSpec) -> LongitudinalDataset:
 def run_fit_command(spec: FitCommandSpec) -> ReportDocument:
     if not spec.taus:
         raise SchemaError("tau list must be non-empty")
-    if not spec.covariates and not spec.intercept:
-        raise SchemaError("need at least one covariate or an intercept")
     dataset, dropped = _load_csv_details(spec.data, spec)
     names = spec.design_names()
     metadata = {

@@ -1,9 +1,9 @@
 """Core domain types and the scalar score functions.
 
-Longitudinal data are stored as independent subjects, each carrying a block
-of covariate rows and responses. All estimating equations in this package
-are built from the three scalar functions defined here: the discontinuous
-quantile score, and the induced-smoothed score with its density.
+Longitudinal data are stacked rows of independent subjects, kept with their
+lengths and ids. All estimating equations in this package are built from
+the three scalar functions defined here: the discontinuous quantile score,
+and the induced-smoothed score with its density.
 """
 
 from __future__ import annotations
@@ -87,33 +87,57 @@ class Subject:
 class LongitudinalDataset:
     """An ordered collection of subjects sharing one covariate dimension.
 
-    Besides the per-subject view, the constructor caches a stacked design
-    matrix, with the rows of each subject in turn, and a padded layout: row i
-    of an (m, max_n) array holds subject i's occasions, followed by zeros
-    where ``mask`` is False, and the design on it as p contiguous columns,
-    ``X_cols`` (p, m, max_n). The solver applies every subject's working
-    covariance at once on that layout.
+    The rows are stacked subject by subject, ``X`` (n_obs, p) and ``y``, with
+    the subjects' ``lengths`` and ``ids``. The constructor also caches a padded
+    layout: row i of an (m, max_n) array holds subject i's occasions, followed
+    by zeros where ``mask`` is False, and the design on it as p contiguous
+    columns, ``X_cols`` (p, m, max_n). The solver applies every subject's
+    working covariance at once on that layout.
     """
 
     def __init__(self, subjects):
-        self.subjects = list(subjects)
-        if not self.subjects:
-            raise DataError("dataset needs at least one subject")
-        p = self.subjects[0].covariates.shape[1]
-        for s in self.subjects:
+        subjects = list(subjects)
+        p = subjects[0].covariates.shape[1] if subjects else 0
+        for s in subjects:
             if s.covariates.shape[1] != p:
                 raise DataError(
                     f"subject {s.id!r} has {s.covariates.shape[1]} covariates, expected {p}"
                 )
-        self.p = p
-        self.X = np.vstack([s.covariates for s in self.subjects])
-        self.y = np.concatenate([s.responses for s in self.subjects])
-        self.lengths = np.array([s.n for s in self.subjects], dtype=int)
+        X = np.concatenate([s.covariates for s in subjects] or [np.empty((0, p))])
+        y = np.concatenate([s.responses for s in subjects] or [np.empty(0)])
+        self._set_rows(X, y, [s.n for s in subjects], [s.id for s in subjects])
+
+    @classmethod
+    def from_rows(cls, X, y, lengths, ids) -> "LongitudinalDataset":
+        """Dataset from stacked rows: subject i, named ids[i], holds the next
+        lengths[i] rows of X (n_obs, p) and y (n_obs,)."""
+        dataset = cls.__new__(cls)
+        dataset._set_rows(X, y, lengths, ids)
+        return dataset
+
+    def _set_rows(self, X, y, lengths, ids):
+        self.X, self.y = np.array(X, dtype=float), np.array(y, dtype=float)
+        self.lengths, self.ids = np.asarray(lengths, dtype=int), list(ids)
+        rows = self.lengths.sum()
+        if self.lengths.size == 0:
+            raise DataError("dataset needs at least one subject")
+        if self.X.ndim != 2 or len(self.X) != rows or self.y.shape != (rows,) or len(self.ids) != self.m:
+            raise DataError(
+                f"a {self.X.shape} design and {self.y.size} responses do not match "
+                f"{len(self.ids)} subjects of {rows} rows"
+            )
+        if self.lengths.min() < 1:
+            raise DataError(f"subject {self.ids[np.argmin(self.lengths)]!r} has no observations")
+        self.p = self.X.shape[1]
         self.max_n = int(self.lengths.max())
         self.offsets = np.concatenate([[0], np.cumsum(self.lengths)])
-        # flat occasion position (0-based within subject) per observation
-        self.positions = np.concatenate([np.arange(n) for n in self.lengths])
+        finite = np.isfinite(self.X).all(axis=1) & np.isfinite(self.y)
+        if not finite.all():
+            first = np.searchsorted(self.offsets, np.argmin(finite), side="right") - 1
+            raise DataError(f"subject {self.ids[first]!r} contains non-finite values")
         self.mask = np.arange(self.max_n) < self.lengths[:, None]
+        # flat occasion position (0-based within subject) per observation
+        self.positions = np.nonzero(self.mask)[1]
         # subjects observed per position; a pair at lag l ends at a position j >= l
         self.position_counts = self.mask.sum(axis=0)
         self.lag_pairs = np.cumsum(self.position_counts[::-1])[::-1]
@@ -121,7 +145,7 @@ class LongitudinalDataset:
 
     @property
     def m(self) -> int:
-        return len(self.subjects)
+        return self.lengths.size
 
     @property
     def n_obs(self) -> int:

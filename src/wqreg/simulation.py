@@ -12,7 +12,7 @@ import numpy as np
 from scipy.special import gammaincinv, ndtr, ndtri, stdtrit
 
 from .exceptions import DataError, SolverError
-from .model import LongitudinalDataset, Subject, check_tau
+from .model import LongitudinalDataset, check_tau
 from .solver import METHODS, fit_many
 
 __all__ = [
@@ -196,31 +196,28 @@ def generate_dataset(
     Each subject's stream gives, in order, ``random(n)`` for the Bernoulli
     covariate, ``standard_normal(n)`` for the normal covariate, and then the
     draws of ``sample_errors``: ``standard_normal(n)`` and, for the t case,
-    ``chisquare(3)``. The AR(1) Cholesky factor is built once per dataset
-    and the marginal transform runs once on the stacked (m, n) draws, so
-    the errors equal those of ``sample_errors`` replayed on each stream.
+    ``chisquare(3)``. The covariates fill an (m, n, 3) design in place, the
+    AR(1) Cholesky factor is built once per dataset and the marginal
+    transform runs once on the stacked (m, n) draws, so the errors equal
+    those of ``sample_errors`` replayed on each stream.
     """
     tau = check_tau(config.taus[0] if tau is None else tau)
     m, n = config.m, config.n
     beta = np.asarray(config.beta_true)
     L = np.linalg.cholesky(ar1_covariance(config.rho, n))
-    designs = []
+    X = np.ones((m, n, 3))
     z = np.empty((m, n))
     w = np.ones((m, 1))
     for i in range(m):
         rng = np.random.default_rng(
             np.random.SeedSequence([config.master_seed, replication, i])
         )
-        x1 = (rng.random(n) < 0.5).astype(float)
-        x2 = rng.standard_normal(n)
-        designs.append(np.column_stack([np.ones(n), x1, x2]))
+        X[i, :, 1] = rng.random(n) < 0.5
+        X[i, :, 2] = rng.standard_normal(n)
         z[i], w[i] = _gaussian_draws(config.error_case, L, rng)
     eps = _marginal_errors(config.error_case, z, w, tau)
-    return LongitudinalDataset(
-        [
-            Subject(id=str(i), covariates=X, responses=X @ beta + eps[i])
-            for i, X in enumerate(designs)
-        ]
+    return LongitudinalDataset.from_rows(
+        X.reshape(m * n, 3), (X @ beta + eps).ravel(), np.full(m, n), [str(i) for i in range(m)]
     )
 
 

@@ -66,9 +66,6 @@ from .sparsity import (
 __all__ = [
     "METHODS",
     "SmoothingState",
-    "smoothed_estimating_function",
-    "smoothed_jacobian",
-    "score_covariance",
     "sandwich_covariance",
     "fit",
     "fit_many",
@@ -146,48 +143,6 @@ def _jacobian(dataset, beta, state, A, sigma):
     B = sigma.whiten(dataset.pad(lam) * dataset.X_cols)
     G = A.reshape(dataset.p, -1) @ B.reshape(dataset.p, -1).T
     return G, _inverse(G)
-
-
-def smoothed_estimating_function(
-    dataset: LongitudinalDataset,
-    beta: np.ndarray,
-    state: SmoothingState,
-    gamma: SparsityWeights,
-    sigma: WorkingCovariance,
-    tau: float,
-) -> np.ndarray:
-    """U~(beta) = sum_i X_i' Gamma_i Sigma_i^{-1} psi~(y_i - X_i beta)."""
-    A = _design(dataset, gamma, sigma)
-    return _score_terms(dataset, beta, state, A, sigma, tau).sum(axis=1)
-
-
-def smoothed_jacobian(
-    dataset: LongitudinalDataset,
-    beta: np.ndarray,
-    state: SmoothingState,
-    gamma: SparsityWeights,
-    sigma: WorkingCovariance,
-    tau: float,
-) -> np.ndarray:
-    """G~ = sum_i X_i' Gamma_i Sigma_i^{-1} Lambda~_i X_i (minus dU/dbeta).
-
-    Raises SolverError when the assembled matrix has 1-norm condition
-    number above 1e12; the smoothed system is then numerically singular.
-    """
-    return _jacobian(dataset, beta, state, _design(dataset, gamma, sigma), sigma)[0]
-
-
-def score_covariance(
-    dataset: LongitudinalDataset,
-    beta: np.ndarray,
-    state: SmoothingState,
-    gamma: SparsityWeights,
-    sigma: WorkingCovariance,
-    tau: float,
-) -> np.ndarray:
-    """cov(U~) = sum_i v_i v_i' with v_i = X_i' Gamma_i Sigma_i^{-1} psi~_i."""
-    v = _score_terms(dataset, beta, state, _design(dataset, gamma, sigma), sigma, tau)
-    return v @ v.T
 
 
 def _sandwich(G_inv: np.ndarray, v: np.ndarray) -> np.ndarray:

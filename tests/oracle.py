@@ -4,7 +4,10 @@ Nothing here is a production code path. The exact WI fit enumerates all
 p-subsets of observations, which is only viable on tiny instances; the
 other oracles provide independent numbers for cross-checking the check
 loss, the solver's Jacobian, the working covariance and the
-lag-correlation estimator.
+lag-correlation estimator. Two kinds of helper are not oracles:
+``subject_rows`` rebuilds per-subject views of a dataset, and the kernel
+helpers compose the solver's private kernels into the estimating function,
+its Jacobian and the score covariance for the tests that check them.
 """
 
 from __future__ import annotations
@@ -14,14 +17,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from wqreg import solver
 from wqreg.exceptions import DataError
-from wqreg.model import LongitudinalDataset, check_tau
+from wqreg.model import LongitudinalDataset, Subject, check_tau
 
 __all__ = [
     "OracleFit",
     "check_loss",
     "check_objective",
     "subject_matrix",
+    "subject_rows",
+    "smoothed_estimating_function",
+    "smoothed_jacobian",
+    "score_covariance",
     "exact_wi_fit",
     "finite_difference_jacobian",
     "indicator_correlation_oracle",
@@ -52,6 +60,27 @@ def subject_matrix(cov, dataset: LongitudinalDataset, i: int) -> np.ndarray:
     n = int(dataset.lengths[i])
     sd = np.sqrt(cov.variances.per_position[:n])
     return sd[:, None] * cov.correlation[:n, :n] * sd[None, :]
+
+
+def subject_rows(dataset: LongitudinalDataset) -> list:
+    """The dataset's subjects, rebuilt from its stacked rows."""
+    bounds = zip(dataset.ids, dataset.offsets[:-1], dataset.offsets[1:])
+    return [Subject(sid, dataset.X[a:b], dataset.y[a:b]) for sid, a, b in bounds]
+
+
+# U~, G~ and cov(U~) composed from the solver's private kernels
+def smoothed_estimating_function(dataset, beta, state, gamma, sigma, tau):
+    A = solver._design(dataset, gamma, sigma)
+    return solver._score_terms(dataset, beta, state, A, sigma, tau).sum(axis=1)
+
+
+def smoothed_jacobian(dataset, beta, state, gamma, sigma, tau):
+    return solver._jacobian(dataset, beta, state, solver._design(dataset, gamma, sigma), sigma)[0]
+
+
+def score_covariance(dataset, beta, state, gamma, sigma, tau):
+    v = solver._score_terms(dataset, beta, state, solver._design(dataset, gamma, sigma), sigma, tau)
+    return v @ v.T
 
 
 @dataclass

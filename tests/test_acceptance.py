@@ -18,11 +18,18 @@ from wqreg.correlation import (
 )
 from wqreg.model import score_psi
 from wqreg.simulation import generate_dataset
-from wqreg.solver import SmoothingState, smoothed_estimating_function, smoothed_jacobian
+from wqreg.solver import SmoothingState
 from wqreg.sparsity import identity_sparsity
 
 from conftest import random_dataset
-from oracle import check_objective, exact_wi_fit, finite_difference_jacobian, subject_matrix
+from oracle import (
+    check_objective,
+    exact_wi_fit,
+    finite_difference_jacobian,
+    smoothed_estimating_function,
+    smoothed_jacobian,
+    subject_matrix,
+)
 
 COEFS = ("beta0", "beta1", "beta2")
 

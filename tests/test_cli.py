@@ -16,6 +16,8 @@ from wqreg.cli import (
     run_fit_command,
 )
 
+from oracle import subject_rows
+
 
 def write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8") as fh:
@@ -34,7 +36,7 @@ def simulated_csv(path, m=80, rho=0.0, seed=5):
     config = SimConfig(m=m, n=4, rho=rho, taus=(0.5,), replications=1, master_seed=seed)
     ds = generate_dataset(config, 0)
     rows = []
-    for sub in ds.subjects:
+    for sub in subject_rows(ds):
         for X_row, y in zip(sub.covariates, sub.responses):
             rows.append([sub.id, repr(float(y)), repr(float(X_row[1])), repr(float(X_row[2]))])
     write_csv(path, ["id", "y", "trt", "x"], rows)
@@ -56,10 +58,11 @@ def test_load_csv_groups_by_id(tmp_path):
     assert ds.m == 2
     assert ds.n_obs == 4
     # subjects keep first-appearance order and rows stay in file order
-    assert [s.id for s in ds.subjects] == ["b", "a"]
-    assert np.allclose(ds.subjects[0].responses, [1.0, 3.0])
-    assert np.allclose(ds.subjects[0].covariates[:, 0], 1.0)
-    assert ds.subjects[0].covariates.shape == (2, 3)
+    subjects = subject_rows(ds)
+    assert [s.id for s in subjects] == ["b", "a"]
+    assert np.allclose(subjects[0].responses, [1.0, 3.0])
+    assert np.allclose(subjects[0].covariates[:, 0], 1.0)
+    assert subjects[0].covariates.shape == (2, 3)
 
 
 def test_load_csv_drops_incomplete_rows(tmp_path, capsys):
@@ -94,9 +97,42 @@ def test_load_csv_drops_incomplete_rows(tmp_path, capsys):
     assert metadata["observations"] == "6"
 
 
+def test_load_csv_reads_rows_as_csv_dict_reader_does(tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    lines = [
+        "id,x,y,trt,x",  # a repeated name takes its last column
+        "a,99,1.0,0,0.1",
+        "",  # a blank line is neither loaded nor counted
+        "b,99,2.0,1",  # a short row misses x: dropped and counted
+        "a,99,3.0,1,0.6,extra",  # an extra field is ignored
+        "b,99,2.5,0,0.4",
+    ]
+    path.write_text("\n".join(lines) + "\n")
+    ds = load_csv(str(path), spec_for(path))
+    assert "dropped 1 rows" in capsys.readouterr().err
+    subjects = subject_rows(ds)
+    assert [s.id for s in subjects] == ["a", "b"]
+    assert np.array_equal(subjects[0].covariates, [[1.0, 0.0, 0.1], [1.0, 1.0, 0.6]])
+    assert np.array_equal(subjects[0].responses, [1.0, 3.0])
+    assert np.array_equal(subjects[1].covariates, [[1.0, 0.0, 0.4]])
+    assert np.array_equal(subjects[1].responses, [2.5])
+
+    path.write_text("\n".join(lines + ["c,99,nan,1,0.2", "c,99,1.5,0,0.3"]) + "\n")
+    code = main(
+        [
+            "fit", "--data", str(path), "--response", "y", "--id", "id",
+            "--covariates", "trt,x", "--out", str(tmp_path / "r.csv"),
+        ]
+    )
+    assert code == 3
+    assert "error: subject 'c' contains non-finite values" in capsys.readouterr().err
+
+
 def test_missing_column_is_schema_error(tmp_path, capsys):
     path = tmp_path / "d.csv"
     write_csv(path, ["id", "y", "trt"], [["a", 1.0, 0]])
+    with pytest.raises(SchemaError, match="at least one covariate or an intercept"):
+        load_csv(str(path), spec_for(path, covariates=[], intercept=False))
     code = main(
         [
             "fit", "--data", str(path), "--response", "y", "--id", "id",
@@ -173,8 +209,9 @@ def test_interaction_column_order(tmp_path):
     spec = spec_for(path, covariates=["trt", "time"], interactions=[("trt", "time")])
     assert spec.design_names() == ["intercept", "trt", "time", "trt:time"]
     ds = load_csv(str(path), spec)
-    assert ds.subjects[0].covariates.shape == (2, 4)
-    assert np.allclose(ds.subjects[0].covariates[0], [1.0, 2.0, 3.0, 6.0])
+    first = subject_rows(ds)[0]
+    assert first.covariates.shape == (2, 4)
+    assert np.allclose(first.covariates[0], [1.0, 2.0, 3.0, 6.0])
 
 
 def test_fit_recovers_near_noiseless_line(tmp_path):

@@ -158,6 +158,11 @@ def test_dataset_shapes_and_grouping():
     assert ds.X_cols.shape == (2, 3, 2) and ds.X_cols.flags.c_contiguous
     assert np.array_equal(ds.X_cols[:, 1], [[1.0, 0.0], [2.0, 0.0]])
     assert np.array_equal(ds.X_cols[:, ds.mask].T, ds.X)
+    # the same panel from its stacked rows
+    rows = LongitudinalDataset.from_rows(ds.X, ds.y, [2, 1, 2], ["a", "b", "c"])
+    assert rows.ids == ds.ids == ["a", "b", "c"]
+    for name in ("X", "y", "lengths", "offsets", "positions", "mask", "X_cols"):
+        assert np.array_equal(getattr(rows, name), getattr(ds, name)), name
 
 
 def test_dataset_rejects_mixed_dimensions_and_empty():
@@ -169,3 +174,24 @@ def test_dataset_rejects_mixed_dimensions_and_empty():
     ]
     with pytest.raises(DataError):
         LongitudinalDataset(subs)
+    X, y, ids = np.ones((5, 2)), np.arange(5.0), ["a", "b", "c"]
+    with pytest.raises(DataError, match="at least one subject"):
+        LongitudinalDataset.from_rows(np.empty((0, 2)), [], [], [])
+    with pytest.raises(DataError, match="subject 'b' has no observations"):
+        LongitudinalDataset.from_rows(X, y, [3, 0, 2], ids)
+    # rows that do not match the lengths, a 1-d design, too few ids
+    for args in (
+        (X, y, [2, 1, 1], ids),
+        (X, y, [2, 2, 2], ids),
+        (X, y[:4], [2, 1, 2], ids),
+        (X[:, 0], y, [2, 1, 2], ids),
+        (X, y, [2, 1, 2], ids[:2]),
+    ):
+        with pytest.raises(DataError, match="do not match"):
+            LongitudinalDataset.from_rows(*args)
+    # a non-finite value names the first subject that holds one
+    for k, name in ((1, "a"), (2, "b"), (3, "c")):
+        bad_X, bad_y = X.copy(), y.copy()
+        bad_X[k, 1], bad_y[4] = np.inf, np.nan
+        with pytest.raises(DataError, match=f"subject '{name}' contains non-finite values"):
+            LongitudinalDataset.from_rows(bad_X, bad_y, [2, 1, 2], ids)

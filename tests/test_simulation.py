@@ -23,6 +23,8 @@ from wqreg.simulation import (
     summarize,
 )
 
+from oracle import subject_rows
+
 
 def test_sim_config_validation():
     with pytest.raises(ValueError):
@@ -171,7 +173,7 @@ def test_generate_dataset_draw_order_and_design():
     rng = np.random.default_rng(seq)
     x1 = (rng.random(4) < 0.5).astype(float)
     x2 = rng.standard_normal(4)
-    sub = ds.subjects[0]
+    sub = subject_rows(ds)[0]
     assert np.array_equal(sub.covariates[:, 1], x1)
     assert np.allclose(sub.covariates[:, 2], x2)
     eps = sub.responses - sub.covariates @ np.array(config.beta_true)
@@ -185,7 +187,7 @@ def test_generate_dataset_draw_order_and_design():
         cfg = SimConfig(m=60, n=5, rho=0.7, error_case=case, taus=(0.25,),
                         replications=3, master_seed=55)
         ds = generate_dataset(cfg, 2, tau=0.95)
-        for i, sub in enumerate(ds.subjects):
+        for i, sub in enumerate(subject_rows(ds)):
             rng = np.random.default_rng(np.random.SeedSequence([55, 2, i]))
             x1 = (rng.random(5) < 0.5).astype(float)
             x2 = rng.standard_normal(5)

@@ -17,13 +17,7 @@ from wqreg import (
 )
 from wqreg.model import score_psi, smoothed_score
 from wqreg.simulation import generate_dataset
-from wqreg.solver import (
-    SmoothingState,
-    sandwich_covariance,
-    score_covariance,
-    smoothed_estimating_function,
-    smoothed_jacobian,
-)
+from wqreg.solver import SmoothingState, sandwich_covariance
 from wqreg.correlation import (
     ScoreVariances,
     assemble_working_covariance,
@@ -32,7 +26,16 @@ from wqreg.correlation import (
 from wqreg.sparsity import SparsityWeights, identity_sparsity
 
 from conftest import random_dataset, scalar_dataset
-from oracle import check_objective, exact_wi_fit, finite_difference_jacobian, subject_matrix
+from oracle import (
+    check_objective,
+    exact_wi_fit,
+    finite_difference_jacobian,
+    score_covariance,
+    smoothed_estimating_function,
+    smoothed_jacobian,
+    subject_matrix,
+    subject_rows,
+)
 
 
 def wi_weights(ds, tau=0.5):
@@ -347,7 +350,7 @@ def test_wi_equivariance(rng):
     shifted = LongitudinalDataset(
         [
             Subject(id=s.id, covariates=s.covariates, responses=s.responses + s.covariates @ delta)
-            for s in ds.subjects
+            for s in subject_rows(ds)
         ]
     )
     res_shift = fit(shifted, 0.5, "WI")
@@ -357,7 +360,7 @@ def test_wi_equivariance(rng):
     scaled = LongitudinalDataset(
         [
             Subject(id=s.id, covariates=s.covariates, responses=c * s.responses)
-            for s in ds.subjects
+            for s in subject_rows(ds)
         ]
     )
     res_scale = fit(scaled, 0.5, "WI")
@@ -376,7 +379,7 @@ def test_wi_equivariance(rng):
         moved = LongitudinalDataset(
             [
                 Subject(id=s.id, covariates=s.covariates, responses=c * s.responses + s.covariates @ delta)
-                for s in ragged.subjects
+                for s in subject_rows(ragged)
             ]
         )
         res = fit(moved, 0.5, "WI")
