@@ -4,10 +4,12 @@ Nothing here is a production code path. The exact WI fit enumerates all
 p-subsets of observations, which is only viable on tiny instances; the
 other oracles provide independent numbers for cross-checking the check
 loss, the solver's Jacobian, the working covariance and the
-lag-correlation estimator. Two kinds of helper are not oracles:
-``subject_rows`` rebuilds per-subject views of a dataset, and the kernel
-helpers compose the solver's private kernels into the estimating function,
-its Jacobian and the score covariance for the tests that check them.
+lag-correlation estimator; ``newton_loop_reference`` is the weighted
+Newton loop without its memo of working covariances. Two kinds of helper
+are not oracles: ``subject_rows`` rebuilds per-subject views of a dataset,
+and the kernel helpers compose the solver's private kernels into the
+estimating function, its Jacobian and the score covariance for the tests
+that check them.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "smoothed_estimating_function",
     "smoothed_jacobian",
     "score_covariance",
+    "newton_loop_reference",
     "exact_wi_fit",
     "finite_difference_jacobian",
     "indicator_correlation_oracle",
@@ -71,16 +74,46 @@ def subject_rows(dataset: LongitudinalDataset) -> list:
 # U~, G~ and cov(U~) composed from the solver's private kernels
 def smoothed_estimating_function(dataset, beta, state, gamma, sigma, tau):
     A = solver._design(dataset, gamma, sigma)
-    return solver._score_terms(dataset, beta, state, A, sigma, tau).sum(axis=1)
+    return solver._score_terms(dataset, residual(dataset, beta), state, A, sigma, tau).sum(axis=1)
 
 
 def smoothed_jacobian(dataset, beta, state, gamma, sigma, tau):
-    return solver._jacobian(dataset, beta, state, solver._design(dataset, gamma, sigma), sigma)[0]
+    A = solver._design(dataset, gamma, sigma)
+    return solver._jacobian(dataset, residual(dataset, beta), state, A, sigma)[0]
 
 
 def score_covariance(dataset, beta, state, gamma, sigma, tau):
-    v = solver._score_terms(dataset, beta, state, solver._design(dataset, gamma, sigma), sigma, tau)
+    A = solver._design(dataset, gamma, sigma)
+    v = solver._score_terms(dataset, residual(dataset, beta), state, A, sigma, tau)
     return v @ v.T
+
+
+def residual(dataset, beta):
+    return dataset.y - dataset.X @ beta
+
+
+def newton_loop_reference(dataset, tau, method, beta0, gamma):
+    """``solver._newton_loop`` with Sigma, rho_hat and the whitened design
+    rebuilt at every iterate and each iterate's residual formed from beta."""
+    beta = beta0.copy()
+    state = solver._initial_state(dataset)
+    converged = False
+    for it in range(solver.MAX_OUTER_ITERATIONS):
+        sigma, rho_hat = solver._weighted_sigma(dataset, beta, tau, method)
+        A = solver._design(dataset, gamma, sigma)
+        r = residual(dataset, beta)
+        G_inv, state = solver._jacobian_with_inflation(dataset, r, state, A, sigma)
+        v = solver._score_terms(dataset, r, state, A, sigma, tau)
+        beta_new = solver._newton_step(dataset, beta, v.sum(axis=1), G_inv, state, A, sigma, tau)[0]
+        omega_new = solver._sandwich(G_inv, v)
+        delta_beta = float(np.max(np.abs(beta_new - beta)))
+        delta_omega = solver._relative_change(omega_new, state.omega)
+        beta = beta_new
+        state = solver.SmoothingState.from_omega(dataset, omega_new)
+        if delta_beta < solver.BETA_TOLERANCE and delta_omega < solver.OMEGA_TOLERANCE:
+            converged = True
+            break
+    return beta, state, sigma, rho_hat, it + 1, converged
 
 
 @dataclass

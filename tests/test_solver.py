@@ -1,5 +1,7 @@
 """Estimating function, Jacobian, sandwich, and the fitting drivers."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -30,6 +32,7 @@ from oracle import (
     check_objective,
     exact_wi_fit,
     finite_difference_jacobian,
+    newton_loop_reference,
     score_covariance,
     smoothed_estimating_function,
     smoothed_jacobian,
@@ -479,3 +482,54 @@ def test_singleton_occasions_fit(rng):
     for res in fits.values():
         assert res.converged
         assert res.rho_hat.size == 0
+
+
+def memo_case(name):
+    """A weighted-loop input: replication 0 of a tau=0.95 design, on which PQR
+    and AQR both run to the iteration cap, a ragged panel with 1 to 8
+    occasions, or an n = 1 panel. Returns the dataset, tau, start and Gamma."""
+    if name == "cap":
+        tau = 0.95
+        ds = generate_dataset(SimConfig(m=60, n=4, rho=0.9, taus=(tau,), master_seed=1), 0)
+    else:
+        tau = 0.3 if name == "ragged" else 0.5
+        rng = np.random.default_rng(11)
+        lengths = rng.integers(1, 9, size=40) if name == "ragged" else np.ones(50, dtype=int)
+        X = np.column_stack([np.ones(lengths.sum()), rng.standard_normal(lengths.sum())])
+        y = X @ [0.5, 1.0] + rng.standard_normal(lengths.sum())
+        ds = LongitudinalDataset.from_rows(X, y, lengths, [str(i) for i in range(lengths.size)])
+    beta0 = solver_mod._check_loss_minimizer(ds.X, ds.y, tau)
+    return ds, tau, beta0, solver_mod._gamma_for(ds, tau, "hk")
+
+
+@pytest.mark.parametrize("method", ["PQR", "AQR"])
+@pytest.mark.parametrize("case", ["cap", "ragged", "single"])
+@pytest.mark.parametrize("halvings", [20, 0])
+def test_newton_loop_memo_equals_rebuilding_sigma_every_iterate(halvings, case, method, monkeypatch):
+    # with no halvings every step runs out of them and is taken unchecked, so
+    # the residual the loop carries is the one formed for that untried step;
+    # full steps may overflow Omega
+    monkeypatch.setattr(solver_mod, "MAX_HALVINGS", halvings)
+    ds, tau, beta0, gamma = memo_case(case)
+    with np.errstate(over="ignore", invalid="ignore") if halvings == 0 else nullcontext():
+        got = solver_mod._newton_loop(ds, tau, method, beta0, gamma)
+        want = newton_loop_reference(ds, tau, method, beta0, gamma)
+    pairs = [(got[0], want[0]), (got[1].omega, want[1].omega), (got[3], want[3]),
+             (got[2].correlation, want[2].correlation), (got[4], want[4]), (got[5], want[5])]
+    for a, b in pairs:
+        assert np.array_equal(a, b, equal_nan=True)
+
+
+@pytest.mark.parametrize("method", ["PQR", "AQR"])
+def test_newton_loop_memo_skips_repeated_sign_patterns(method, monkeypatch):
+    ds, tau, beta0, gamma = memo_case("cap")
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return assemble_working_covariance(*args)
+
+    monkeypatch.setattr(solver_mod, "assemble_working_covariance", counting)
+    iterations = solver_mod._newton_loop(ds, tau, method, beta0, gamma)[4]
+    assert iterations == solver_mod.MAX_OUTER_ITERATIONS
+    assert 0 < len(calls) < iterations
