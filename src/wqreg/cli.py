@@ -27,6 +27,9 @@ try:
 except PackageNotFoundError:
     _VERSION = "0.0.0"
 
+# exit code per error class; any other WqregError (a SchemaError) exits 2
+_EXIT_CODES = {DataError: 3, SolverError: 4}
+
 _SIM_DEFAULTS = {
     "case": "normal",
     "rho": "0.1,0.5,0.9",
@@ -122,7 +125,11 @@ def parse_report(path: str):
 # ---------------------------------------------------------------------------
 
 
-def _load_csv_details(path: str, spec: FitCommandSpec):
+def load_csv(path: str, spec: FitCommandSpec):
+    """Long-format CSV to (dataset, rows dropped): rows grouped by id in
+    first-appearance order, in file order within a subject; rows with missing
+    or non-numeric required fields dropped with a warning, blank lines
+    skipped."""
     if not spec.covariates and not spec.intercept:
         raise SchemaError("need at least one covariate or an intercept")
     factors = [c for pair in spec.interactions for c in pair]
@@ -170,13 +177,6 @@ def _load_csv_details(path: str, spec: FitCommandSpec):
     return dataset, dropped
 
 
-def load_csv(path: str, spec: FitCommandSpec) -> LongitudinalDataset:
-    """Long-format CSV to dataset: rows grouped by id in first-appearance
-    order, in file order within a subject; rows with missing or non-numeric
-    required fields dropped with a warning, blank lines skipped."""
-    return _load_csv_details(path, spec)[0]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -185,7 +185,7 @@ def load_csv(path: str, spec: FitCommandSpec) -> LongitudinalDataset:
 def run_fit_command(spec: FitCommandSpec) -> ReportDocument:
     if not spec.taus:
         raise SchemaError("tau list must be non-empty")
-    dataset, dropped = _load_csv_details(spec.data, spec)
+    dataset, dropped = load_csv(spec.data, spec)
     names = spec.design_names()
     metadata = {
         "command": "fit",
@@ -442,18 +442,9 @@ def main(argv=None) -> int:
                 if flag is not None:
                     options[key] = str(flag)
             run_simulate_command(options, args.out, args.precision)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except SolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except WqregError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next((code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls)), 2)
     return 0
 
 

@@ -2,7 +2,8 @@
 
 Builds Sigma_i = A_i^{1/2} C(rho) A_i^{1/2} from per-occasion score
 variances and the stationary lag-correlation moment estimator, both taken
-from column and Gram sums on the dataset's padded layout. Every Sigma_i is
+from column and Gram sums of the residuals and scores in the dataset's
+padded (m, max_n) layout, zero in the padding. Every Sigma_i is
 a leading block of the full Sigma, so the working covariance factors the
 full Sigma once per update, and one triangular product with the inverse
 factor whitens every subject's values at once.
@@ -54,10 +55,6 @@ class ScoreVariances:
             raise ValueError("score variances must be finite")
         self.per_position = np.maximum(v, SIGMA_MIN)
 
-    def per_observation(self, dataset: LongitudinalDataset) -> np.ndarray:
-        """Expand to one value per stacked observation row."""
-        return self.per_position[dataset.positions]
-
 
 def sigma_constant(tau: float) -> float:
     """Constant score variance tau * (1 - tau) used by WI and PQR."""
@@ -65,49 +62,50 @@ def sigma_constant(tau: float) -> float:
     return tau * (1.0 - tau)
 
 
-def sigma_empirical(dataset: LongitudinalDataset, beta: np.ndarray, tau: float) -> ScoreVariances:
+def sigma_empirical(dataset: LongitudinalDataset, R: np.ndarray) -> ScoreVariances:
     """Per-occasion empirical score variances p_j (1 - p_j) used by AQR.
 
     p_j is the fraction of subjects observed at occasion j whose residual
-    is strictly negative at the supplied beta.
+    is strictly negative; R holds the residuals y - X beta padded, as
+    ``dataset.pad`` lays them out.
     """
-    check_tau(tau)
-    neg = dataset.pad((dataset.y - dataset.X @ beta < 0.0).astype(float))
-    p_hat = neg.sum(axis=0) / dataset.position_counts
+    p_hat = (R < 0.0).sum(axis=0) / dataset.position_counts
     return ScoreVariances(p_hat * (1.0 - p_hat))
 
 
 def standardized_scores(
     dataset: LongitudinalDataset,
-    beta: np.ndarray,
+    R: np.ndarray,
     tau: float,
     variances: ScoreVariances,
 ) -> np.ndarray:
-    """Scores psi_tau(y - x'beta) divided by the per-occasion sqrt variance."""
-    psi = score_psi(dataset.y - dataset.X @ beta, tau)
-    return psi / np.sqrt(variances.per_observation(dataset))
+    """Scores psi_tau(R) divided by the per-occasion sqrt variance, for padded
+    residuals R; padded like R and zero in the padding."""
+    psi = score_psi(R, tau)
+    return psi / np.sqrt(variances.per_position[: dataset.max_n]) * dataset.mask
 
 
-def estimate_lag_correlations(dataset: LongitudinalDataset, scores: np.ndarray) -> np.ndarray:
+def estimate_lag_correlations(dataset: LongitudinalDataset, S: np.ndarray) -> np.ndarray:
     """Moment estimator of the stationary lag correlations of the scores.
 
-    For each lag l = 1, ..., max_n - 1 pools all available within-subject
-    pairs:
+    S holds the standardized scores ytil padded, (m, max_n) and zero in the
+    padding. For each lag l = 1, ..., max_n - 1 pools all available
+    within-subject pairs:
 
         rho_l = [sum_i sum_j ytil_ij ytil_i,j+l / sum_i (n_i - l)]
                 / [sum_i sum_j ytil_ij^2 / sum_i n_i]
 
     clamped to [-0.99, 0.99].
     """
-    scores = np.asarray(scores, dtype=float).ravel()
-    if scores.shape[0] != dataset.n_obs:
-        raise ValueError("scores length does not match dataset")
+    S = np.asarray(S, dtype=float)
+    if S.shape != dataset.mask.shape:
+        raise ValueError("scores are not in the dataset's padded layout")
     if dataset.max_n < 2:
         raise DataError("lag correlations need at least one subject with two occasions")
+    scores = S[dataset.mask]  # in row order, so that the sum runs as over the rows
     den = float(scores @ scores) / dataset.n_obs
     if den == 0.0:
         raise DataError("all standardized scores are zero")
-    S = dataset.pad(scores)
     gram = S.T @ S
     # the products of pairs (j - l, j) sum along the l-th subdiagonal of
     # S'S; the upper triangle goes to bin 0, which is not used

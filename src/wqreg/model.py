@@ -91,8 +91,9 @@ class LongitudinalDataset:
     the subjects' ``lengths`` and ``ids``. The constructor also caches a padded
     layout: row i of an (m, max_n) array holds subject i's occasions, followed
     by zeros where ``mask`` is False, and the design on it as p contiguous
-    columns, ``X_cols`` (p, m, max_n). The solver applies every subject's
-    working covariance at once on that layout.
+    columns, ``X_cols`` (p, m, max_n). The solver estimates every subject's
+    working covariance from residuals padded by ``pad`` and applies it at
+    once on that layout.
     """
 
     def __init__(self, subjects):
@@ -136,8 +137,6 @@ class LongitudinalDataset:
             first = np.searchsorted(self.offsets, np.argmin(finite), side="right") - 1
             raise DataError(f"subject {self.ids[first]!r} contains non-finite values")
         self.mask = np.arange(self.max_n) < self.lengths[:, None]
-        # flat occasion position (0-based within subject) per observation
-        self.positions = np.nonzero(self.mask)[1]
         # subjects observed per position; a pair at lag l ends at a position j >= l
         self.position_counts = self.mask.sum(axis=0)
         self.lag_pairs = np.cumsum(self.position_counts[::-1])[::-1]

@@ -12,7 +12,8 @@ step and the sandwich. Sigma, its factor and A depend on beta only through
 the signs of the residuals, so the loop rebuilds them only for a sign
 pattern it has not just seen. A converged weighted fit ends with Newton
 steps at frozen weights, so that beta is a machine-precision root of the
-smoothed equation; both take the same halving line search.
+smoothed equation; both take the same halving line search. Each stage
+takes the residual and A its caller holds, down to the sandwich.
 
 The WI estimate itself is the exact minimizer of the check-loss objective,
 the Koenker-Bassett linear program. A Frisch-Newton interior point solves
@@ -42,7 +43,6 @@ from scipy.special import ndtri
 
 from .correlation import (
     ScoreVariances,
-    WorkingCovariance,
     assemble_working_covariance,
     build_stationary_correlation,
     estimate_lag_correlations,
@@ -68,7 +68,6 @@ from .sparsity import (
 __all__ = [
     "METHODS",
     "SmoothingState",
-    "sandwich_covariance",
     "fit",
     "fit_many",
     "confidence_intervals",
@@ -157,21 +156,6 @@ def _sandwich(G_inv: np.ndarray, v: np.ndarray) -> np.ndarray:
     return H @ H.T
 
 
-def sandwich_covariance(
-    dataset: LongitudinalDataset,
-    beta: np.ndarray,
-    state: SmoothingState,
-    gamma: SparsityWeights,
-    sigma: WorkingCovariance,
-    tau: float,
-) -> np.ndarray:
-    """Sandwich estimate G~^{-1} cov(U~) G~^{-T} of the covariance of beta."""
-    A = _design(dataset, gamma, sigma)
-    r = dataset.y - dataset.X @ beta
-    G_inv = _jacobian(dataset, r, state, A, sigma)[1]
-    return _sandwich(G_inv, _score_terms(dataset, r, state, A, sigma, tau))
-
-
 def confidence_intervals(result: FitResult, level: float = 0.95) -> np.ndarray:
     """Per-coefficient Wald intervals beta_k +/- z (1+level)/2 * SE_k."""
     if not 0.0 < level < 1.0:
@@ -186,14 +170,15 @@ def confidence_intervals(result: FitResult, level: float = 0.95) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _weighted_sigma(dataset: LongitudinalDataset, beta, tau: float, method: str):
+def _weighted_sigma(dataset: LongitudinalDataset, r, tau: float, method: str):
+    """Working covariance and lag correlations at the residual r = y - X beta."""
+    R = dataset.pad(r)
     if method == "AQR":
-        variances = sigma_empirical(dataset, beta, tau)
+        variances = sigma_empirical(dataset, R)
     else:
         variances = ScoreVariances(np.full(dataset.max_n, sigma_constant(tau)))
     if dataset.max_n >= 2:
-        scores = standardized_scores(dataset, beta, tau, variances)
-        rho = estimate_lag_correlations(dataset, scores)
+        rho = estimate_lag_correlations(dataset, standardized_scores(dataset, R, tau, variances))
     else:
         rho = np.empty(0)
     C = build_stationary_correlation(rho, dataset.max_n)
@@ -253,7 +238,9 @@ def _newton_loop(dataset, tau, method, beta0, gamma):
     """Newton in beta with Omega re-estimated at every iteration and Sigma
     whenever the residual sign pattern changes; a step whose halvings run out
     is taken anyway. Sigma, rho_hat and A are functions of the signs of
-    y - X beta alone, so the last SIGN_MEMO_DEPTH patterns keep theirs."""
+    y - X beta alone, so the last SIGN_MEMO_DEPTH patterns keep theirs.
+    Returns the last iterate's beta with its residual r, and the last Sigma
+    with its whitened design A."""
     beta = beta0.copy()
     r = dataset.y - dataset.X @ beta
     state = _initial_state(dataset)
@@ -265,7 +252,7 @@ def _newton_loop(dataset, tau, method, beta0, gamma):
         if key in memo:
             sigma, rho_hat, A = memo.pop(key)
         else:
-            sigma, rho_hat = _weighted_sigma(dataset, beta, tau, method)
+            sigma, rho_hat = _weighted_sigma(dataset, r, tau, method)
             A = _design(dataset, gamma, sigma)
         memo[key] = sigma, rho_hat, A
         if len(memo) > SIGN_MEMO_DEPTH:
@@ -281,21 +268,20 @@ def _newton_loop(dataset, tau, method, beta0, gamma):
         if delta_beta < BETA_TOLERANCE and delta_omega < OMEGA_TOLERANCE:
             converged = True
             break
-    return beta, state, sigma, rho_hat, it + 1, converged
+    return beta, state, sigma, rho_hat, it + 1, converged, r, A
 
 
-def _refine_root(dataset, beta, state, gamma, sigma, tau):
-    """Newton at frozen weights until the smoothed score is a numerical zero;
-    stops where the Jacobian is singular or the halvings run out, and returns
-    the iterate with the smallest sup |U~|."""
-    A = _design(dataset, gamma, sigma)
-    r = dataset.y - dataset.X @ beta
+def _refine_root(dataset, beta, r, A, state, sigma, tau):
+    """Newton at frozen weights from beta, with r = y - X beta, until the
+    smoothed score is a numerical zero; stops where the Jacobian is singular
+    or the halvings run out, and returns the iterate with the smallest
+    sup |U~| and its residual."""
     U = _score_terms(dataset, r, state, A, sigma, tau).sum(axis=1)
-    best_beta, best_norm = beta, np.inf
+    best, best_norm = (beta, r), np.inf
     for _ in range(30):
         sup = float(np.max(np.abs(U)))
         if sup < best_norm:
-            best_norm, best_beta = sup, beta
+            best, best_norm = (beta, r), sup
         if sup <= 1e-9:
             break
         try:
@@ -305,7 +291,7 @@ def _refine_root(dataset, beta, state, gamma, sigma, tau):
         beta, U, r = _newton_step(dataset, beta, U, G_inv, state, A, sigma, tau)
         if U is None:
             break
-    return best_beta
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -493,13 +479,14 @@ def _fit_wi(dataset: LongitudinalDataset, tau: float, beta: np.ndarray) -> FitRe
 
 
 def _fit_weighted(dataset, tau, method, beta0, gamma) -> FitResult:
-    beta, state, sigma, rho_hat, iterations, converged = _newton_loop(
+    beta, state, sigma, rho_hat, iterations, converged, r, A = _newton_loop(
         dataset, tau, method, beta0, gamma
     )
     if converged:
-        beta = _refine_root(dataset, beta, state, gamma, sigma, tau)
+        beta, r = _refine_root(dataset, beta, r, A, state, sigma, tau)
     try:
-        omega = sandwich_covariance(dataset, beta, state, gamma, sigma, tau)
+        G_inv = _jacobian(dataset, r, state, A, sigma)[1]
+        omega = _sandwich(G_inv, _score_terms(dataset, r, state, A, sigma, tau))
     except SolverError:
         omega = None
     return _fit_result(

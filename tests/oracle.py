@@ -8,8 +8,8 @@ lag-correlation estimator; ``newton_loop_reference`` is the weighted
 Newton loop without its memo of working covariances. Two kinds of helper
 are not oracles: ``subject_rows`` rebuilds per-subject views of a dataset,
 and the kernel helpers compose the solver's private kernels into the
-estimating function, its Jacobian and the score covariance for the tests
-that check them.
+estimating function, its Jacobian, the score covariance and the sandwich
+for the tests that check them.
 """
 
 from __future__ import annotations
@@ -29,9 +29,11 @@ __all__ = [
     "check_objective",
     "subject_matrix",
     "subject_rows",
+    "flat_positions",
     "smoothed_estimating_function",
     "smoothed_jacobian",
     "score_covariance",
+    "sandwich_covariance",
     "newton_loop_reference",
     "exact_wi_fit",
     "finite_difference_jacobian",
@@ -88,6 +90,14 @@ def score_covariance(dataset, beta, state, gamma, sigma, tau):
     return v @ v.T
 
 
+def sandwich_covariance(dataset, beta, state, gamma, sigma, tau):
+    """Sandwich estimate G~^{-1} cov(U~) G~^{-T} of the covariance of beta."""
+    A = solver._design(dataset, gamma, sigma)
+    r = residual(dataset, beta)
+    G_inv = solver._jacobian(dataset, r, state, A, sigma)[1]
+    return solver._sandwich(G_inv, solver._score_terms(dataset, r, state, A, sigma, tau))
+
+
 def residual(dataset, beta):
     return dataset.y - dataset.X @ beta
 
@@ -99,9 +109,9 @@ def newton_loop_reference(dataset, tau, method, beta0, gamma):
     state = solver._initial_state(dataset)
     converged = False
     for it in range(solver.MAX_OUTER_ITERATIONS):
-        sigma, rho_hat = solver._weighted_sigma(dataset, beta, tau, method)
-        A = solver._design(dataset, gamma, sigma)
         r = residual(dataset, beta)
+        sigma, rho_hat = solver._weighted_sigma(dataset, r, tau, method)
+        A = solver._design(dataset, gamma, sigma)
         G_inv, state = solver._jacobian_with_inflation(dataset, r, state, A, sigma)
         v = solver._score_terms(dataset, r, state, A, sigma, tau)
         beta_new = solver._newton_step(dataset, beta, v.sum(axis=1), G_inv, state, A, sigma, tau)[0]
@@ -113,7 +123,7 @@ def newton_loop_reference(dataset, tau, method, beta0, gamma):
         if delta_beta < solver.BETA_TOLERANCE and delta_omega < solver.OMEGA_TOLERANCE:
             converged = True
             break
-    return beta, state, sigma, rho_hat, it + 1, converged
+    return beta, state, sigma, rho_hat, it + 1, converged, residual(dataset, beta), A
 
 
 @dataclass
@@ -178,12 +188,18 @@ def indicator_correlation_oracle(rho: float) -> float:
     return 2.0 / np.pi * float(np.arcsin(rho))
 
 
+def flat_positions(dataset: LongitudinalDataset) -> np.ndarray:
+    """Occasion (0-based within its subject) of each stacked row."""
+    return np.concatenate([np.arange(n) for n in dataset.lengths])
+
+
 def empirical_variance_oracle(dataset: LongitudinalDataset, beta: np.ndarray) -> np.ndarray:
     """p_j (1 - p_j) per occasion from per-position counts over the flat rows,
     before the SIGMA_MIN floor."""
     neg = dataset.y - dataset.X @ beta < 0.0
-    counts = np.bincount(dataset.positions, minlength=dataset.max_n)
-    hits = np.bincount(dataset.positions, weights=neg.astype(float), minlength=dataset.max_n)
+    positions = flat_positions(dataset)
+    counts = np.bincount(positions, minlength=dataset.max_n)
+    hits = np.bincount(positions, weights=neg.astype(float), minlength=dataset.max_n)
     p_hat = hits / counts
     return p_hat * (1.0 - p_hat)
 
@@ -195,7 +211,7 @@ def lag_correlation_oracle(dataset: LongitudinalDataset, scores: np.ndarray) -> 
     position l or later.
     """
     scores = np.asarray(scores, dtype=float)
-    positions = dataset.positions
+    positions = flat_positions(dataset)
     rho = np.empty(dataset.max_n - 1)
     for lag in range(1, dataset.max_n):
         pair = positions[lag:] >= lag

@@ -259,7 +259,7 @@ def test_derivatives_and_invariants():
 
     config = SimConfig(m=100, n=4, rho=0.7, taus=(0.5,), replications=1, master_seed=3)
     ds = generate_dataset(config, 0)
-    scores = rng.uniform(-0.5, 0.5, ds.n_obs)
+    scores = ds.pad(rng.uniform(-0.5, 0.5, ds.n_obs))
     base = estimate_lag_correlations(ds, scores)
     scaled = estimate_lag_correlations(ds, 3.7 * scores)
     ok_scale = float(np.max(np.abs(base - scaled))) <= 1e-12

@@ -54,7 +54,7 @@ def test_load_csv_groups_by_id(tmp_path):
             ["a", 4.0, 1, 0.7],
         ],
     )
-    ds = load_csv(str(path), spec_for(path))
+    ds, _ = load_csv(str(path), spec_for(path))
     assert ds.m == 2
     assert ds.n_obs == 4
     # subjects keep first-appearance order and rows stay in file order
@@ -108,8 +108,8 @@ def test_load_csv_reads_rows_as_csv_dict_reader_does(tmp_path, capsys):
         "b,99,2.5,0,0.4",
     ]
     path.write_text("\n".join(lines) + "\n")
-    ds = load_csv(str(path), spec_for(path))
-    assert "dropped 1 rows" in capsys.readouterr().err
+    ds, dropped = load_csv(str(path), spec_for(path))
+    assert dropped == 1 and "dropped 1 rows" in capsys.readouterr().err
     subjects = subject_rows(ds)
     assert [s.id for s in subjects] == ["a", "b"]
     assert np.array_equal(subjects[0].covariates, [[1.0, 0.0, 0.1], [1.0, 1.0, 0.6]])
@@ -208,7 +208,7 @@ def test_interaction_column_order(tmp_path):
     )
     spec = spec_for(path, covariates=["trt", "time"], interactions=[("trt", "time")])
     assert spec.design_names() == ["intercept", "trt", "time", "trt:time"]
-    ds = load_csv(str(path), spec)
+    ds, _ = load_csv(str(path), spec)
     first = subject_rows(ds)[0]
     assert first.covariates.shape == (2, 4)
     assert np.allclose(first.covariates[0], [1.0, 2.0, 3.0, 6.0])

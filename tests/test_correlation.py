@@ -28,6 +28,10 @@ from oracle import (
 )
 
 
+def padded_residual(ds, beta):
+    return ds.pad(ds.y - ds.X @ beta)
+
+
 def panel(rows):
     """rows: list of (x_rows, y_values) per subject with intercept column."""
     subs = []
@@ -58,39 +62,40 @@ def test_sigma_empirical_direct_count():
             ([[1.0]], [-0.5]),
         ]
     )
-    v = sigma_empirical(ds, np.array([0.0]), 0.5)
+    v = sigma_empirical(ds, padded_residual(ds, np.array([0.0])))
     assert v.per_position[0] == pytest.approx(0.25)
 
 
 def test_sigma_empirical_floor_engaged():
     ds = panel([([[1.0]], [1.0]), ([[1.0]], [2.0])])
-    v = sigma_empirical(ds, np.array([0.0]), 0.5)  # no negative residuals
+    v = sigma_empirical(ds, padded_residual(ds, np.array([0.0])))  # no negative residuals
     assert v.per_position[0] == SIGMA_MIN
 
 
 def test_sigma_empirical_consistent_at_truth():
     config = SimConfig(m=5000, n=4, rho=0.5, error_case="normal", taus=(0.5,), replications=1, master_seed=77)
     ds = generate_dataset(config, 0)
-    v = sigma_empirical(ds, np.array(config.beta_true), 0.5)
+    v = sigma_empirical(ds, padded_residual(ds, np.array(config.beta_true)))
     assert np.all(np.abs(v.per_position - 0.25) < 0.02)
 
 
 def test_standardized_scores_values():
     ds = panel([([[1.0]], [1.0]), ([[1.0]], [-1.0])])
     v = ScoreVariances([0.25])
-    s = standardized_scores(ds, np.array([0.0]), 0.5, v)
-    assert s[0] == pytest.approx(1.0)
+    s = standardized_scores(ds, padded_residual(ds, np.array([0.0])), 0.5, v)
+    assert s[0, 0] == pytest.approx(1.0)
     v2 = ScoreVariances([0.1875])
-    s2 = standardized_scores(ds, np.array([0.0]), 0.25, v2)
-    assert s2[1] == pytest.approx(-0.75 / np.sqrt(0.1875))
+    s2 = standardized_scores(ds, padded_residual(ds, np.array([0.0])), 0.25, v2)
+    assert s2[1, 0] == pytest.approx(-0.75 / np.sqrt(0.1875))
 
 
 def test_standardized_scores_two_magnitudes(rng):
     ds = random_dataset(rng, 30, 3, 2)
     tau = 0.3
     v = ScoreVariances(np.full(3, sigma_constant(tau)))
-    s = standardized_scores(ds, rng.standard_normal(2), tau, v)
-    mags = np.unique(np.round(np.abs(s), 12))
+    s = standardized_scores(ds, padded_residual(ds, rng.standard_normal(2)), tau, v)
+    assert np.array_equal(s[~ds.mask], np.zeros(np.count_nonzero(~ds.mask)))
+    mags = np.unique(np.round(np.abs(s[ds.mask]), 12))
     assert mags.size == 2
 
 
@@ -101,7 +106,7 @@ def test_lag_correlations_perfect_and_cancelling():
             (np.ones((3, 1)), [0.0, 0.0, 0.0]),
         ]
     )
-    rho = estimate_lag_correlations(ds, np.full(6, 0.7))
+    rho = estimate_lag_correlations(ds, np.full((2, 3), 0.7))
     assert np.allclose(rho, 0.99)  # perfect correlation, clamped
 
     ds2 = panel(
@@ -110,22 +115,25 @@ def test_lag_correlations_perfect_and_cancelling():
             (np.ones((2, 1)), [0.0, 0.0]),
         ]
     )
-    rho2 = estimate_lag_correlations(ds2, np.array([1.0, 1.0, 1.0, -1.0]))
+    rho2 = estimate_lag_correlations(ds2, np.array([[1.0, 1.0], [1.0, -1.0]]))
     assert rho2[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_lag_correlations_errors():
     ds = panel([(np.ones((1, 1)), [0.0]), (np.ones((1, 1)), [0.0])])
     with pytest.raises(DataError):
-        estimate_lag_correlations(ds, np.array([1.0, 1.0]))
+        estimate_lag_correlations(ds, np.ones((2, 1)))
     ds2 = panel([(np.ones((2, 1)), [0.0, 0.0])])
     with pytest.raises(DataError):
-        estimate_lag_correlations(ds2, np.zeros(2))
+        estimate_lag_correlations(ds2, np.zeros((1, 2)))
+    # flat per-observation scores are not the padded layout
+    with pytest.raises(ValueError):
+        estimate_lag_correlations(ds2, np.ones(ds2.n_obs))
 
 
 def test_lag_correlations_scale_invariance(rng):
     ds = random_dataset(rng, 40, 4, 2)
-    scores = rng.standard_normal(ds.n_obs)
+    scores = ds.pad(rng.standard_normal(ds.n_obs))
     base = estimate_lag_correlations(ds, scores)
     for c in (0.5, 3.0, 1e4):
         scaled = estimate_lag_correlations(ds, c * scores)
@@ -145,7 +153,7 @@ def test_lag_correlations_pool_within_subject_pairs_of_an_unbalanced_panel(rng):
         num = sum(b[j] * b[j + lag] for b in blocks for j in range(b.size - lag))
         pairs = sum(max(b.size - lag, 0) for b in blocks)
         want.append(num / pairs / den)
-    got = estimate_lag_correlations(ds, scores)
+    got = estimate_lag_correlations(ds, ds.pad(scores))
     assert np.max(np.abs(got - np.clip(want, -0.99, 0.99))) <= 1e-12
 
 
@@ -165,20 +173,21 @@ def test_padded_moments_match_the_flat_row_oracle(seed, lengths, tau):
         ]
     )
     beta = 0.5 * rng.standard_normal(2)
-    variances = sigma_empirical(ds, beta, tau)
+    R = padded_residual(ds, beta)
+    variances = sigma_empirical(ds, R)
     want = np.maximum(empirical_variance_oracle(ds, beta), SIGMA_MIN)
     assert np.max(np.abs(variances.per_position - want)) <= 1e-12 * np.max(want)
     # correlations have scale 1, so an absolute 1e-12 is relative to it
-    for scores in (standardized_scores(ds, beta, tau, variances), rng.standard_normal(ds.n_obs)):
-        want = np.clip(lag_correlation_oracle(ds, scores), -0.99, 0.99)
-        assert np.max(np.abs(estimate_lag_correlations(ds, scores) - want)) <= 1e-12
+    for S in (standardized_scores(ds, R, tau, variances), ds.pad(rng.standard_normal(ds.n_obs))):
+        want = np.clip(lag_correlation_oracle(ds, S[ds.mask]), -0.99, 0.99)
+        assert np.max(np.abs(estimate_lag_correlations(ds, S) - want)) <= 1e-12
 
 
 def test_lag_correlations_recover_indicator_correlation():
     config = SimConfig(m=5000, n=4, rho=0.9, error_case="normal", taus=(0.5,), replications=1, master_seed=5)
     ds = generate_dataset(config, 0)
     v = ScoreVariances(np.full(4, sigma_constant(0.5)))
-    scores = standardized_scores(ds, np.array(config.beta_true), 0.5, v)
+    scores = standardized_scores(ds, padded_residual(ds, np.array(config.beta_true)), 0.5, v)
     rho = estimate_lag_correlations(ds, scores)
     assert abs(rho[0] - indicator_correlation_oracle(0.9)) < 0.02
 

@@ -151,7 +151,6 @@ def test_dataset_shapes_and_grouping():
     ds = LongitudinalDataset(subs)
     assert (ds.m, ds.p, ds.n_obs, ds.max_n) == (3, 2, 5, 2)
     assert ds.X.shape == (5, 2) and ds.y.shape == (5,)
-    assert list(ds.positions) == [0, 1, 0, 0, 1]
     assert np.array_equal(ds.mask, [[True, True], [True, False], [True, True]])
     assert np.array_equal(ds.pad(ds.y), [[1.0, 2.0], [3.0, 0.0], [4.0, 5.0]])
     assert list(ds.position_counts) == [3, 2] and list(ds.lag_pairs) == [5, 2]
@@ -161,7 +160,7 @@ def test_dataset_shapes_and_grouping():
     # the same panel from its stacked rows
     rows = LongitudinalDataset.from_rows(ds.X, ds.y, [2, 1, 2], ["a", "b", "c"])
     assert rows.ids == ds.ids == ["a", "b", "c"]
-    for name in ("X", "y", "lengths", "offsets", "positions", "mask", "X_cols"):
+    for name in ("X", "y", "lengths", "offsets", "mask", "X_cols"):
         assert np.array_equal(getattr(rows, name), getattr(ds, name)), name
 
 

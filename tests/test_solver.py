@@ -19,7 +19,7 @@ from wqreg import (
 )
 from wqreg.model import score_psi, smoothed_score
 from wqreg.simulation import generate_dataset
-from wqreg.solver import SmoothingState, sandwich_covariance
+from wqreg.solver import SmoothingState
 from wqreg.correlation import (
     ScoreVariances,
     assemble_working_covariance,
@@ -33,6 +33,7 @@ from oracle import (
     exact_wi_fit,
     finite_difference_jacobian,
     newton_loop_reference,
+    sandwich_covariance,
     score_covariance,
     smoothed_estimating_function,
     smoothed_jacobian,
@@ -343,6 +344,8 @@ def test_newton_fixed_point_at_reported_root():
             assert np.linalg.norm(again - res.omega) <= 1e-6 * np.linalg.norm(res.omega)
         else:
             assert np.max(np.abs(smoothed_estimating_function(*args))) <= 1e-6
+            # the fit's Omega is the sandwich rebuilt at the reported beta
+            assert np.array_equal(res.omega, sandwich_covariance(*args))
 
 
 def test_wi_equivariance(rng):
@@ -515,9 +518,27 @@ def test_newton_loop_memo_equals_rebuilding_sigma_every_iterate(halvings, case, 
         got = solver_mod._newton_loop(ds, tau, method, beta0, gamma)
         want = newton_loop_reference(ds, tau, method, beta0, gamma)
     pairs = [(got[0], want[0]), (got[1].omega, want[1].omega), (got[3], want[3]),
-             (got[2].correlation, want[2].correlation), (got[4], want[4]), (got[5], want[5])]
+             (got[2].correlation, want[2].correlation), (got[4], want[4]), (got[5], want[5]),
+             (got[6], want[6]), (got[7], want[7])]
     for a, b in pairs:
         assert np.array_equal(a, b, equal_nan=True)
+
+
+@pytest.mark.parametrize("method", ["PQR", "AQR"])
+@pytest.mark.parametrize("case", ["cap", "ragged", "single"])
+@pytest.mark.parametrize("halvings", [20, 0])
+def test_weighted_omega_is_the_sandwich_at_the_reported_beta(halvings, case, method, monkeypatch):
+    # the sandwich takes the residual and whitened design the Newton loop or
+    # the root refinement ends with; with no halvings the refinement's first
+    # step runs out of them, so the root it returns is its start, not its
+    # last iterate
+    monkeypatch.setattr(solver_mod, "MAX_HALVINGS", halvings)
+    ds, tau, _, _ = memo_case(case)
+    with np.errstate(over="ignore", invalid="ignore") if halvings == 0 else nullcontext():
+        res = fit(ds, tau, method)
+        ctx = res._context
+        want = sandwich_covariance(ds, res.beta, ctx["state"], ctx["gamma"], ctx["sigma"], tau)
+    assert np.array_equal(res.omega, want)
 
 
 @pytest.mark.parametrize("method", ["PQR", "AQR"])
