@@ -247,7 +247,7 @@ def build_sim_configs(options: dict):
         ]
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
-    return configs, merged
+    return configs
 
 
 def _summary_text(config: SimConfig, report) -> str:
@@ -271,7 +271,7 @@ def _summary_text(config: SimConfig, report) -> str:
 
 
 def run_simulate_command(options: dict, out: str, precision: int = 6) -> ReportDocument:
-    configs, merged = build_sim_configs(options)
+    configs = build_sim_configs(options)
     metadata = {
         "command": "simulate",
         "version": _VERSION,

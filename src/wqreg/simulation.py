@@ -13,22 +13,19 @@ from scipy.special import gammaincinv, ndtr, ndtri, stdtrit
 
 from .exceptions import DataError, SolverError
 from .model import LongitudinalDataset, check_tau
-from .solver import METHODS, fit_many
+from .solver import METHODS, fit, fit_many
 
 __all__ = [
-    "CASES",
     "SimConfig",
     "ReplicationRecord",
     "SummaryRow",
     "SimStudyReport",
     "ar1_covariance",
-    "sample_errors",
     "generate_dataset",
     "run_study",
     "summarize",
 ]
 
-CASES = ("normal", "chisq", "t")
 _CASE_ALIASES = {
     "normal": "normal",
     "gaussian": "normal",
@@ -168,21 +165,6 @@ def _marginal_errors(case: str, z: np.ndarray, w, tau: float) -> np.ndarray:
     return z / np.sqrt(w / 3.0) - stdtrit(3, tau)
 
 
-def sample_errors(case: str, rho: float, n: int, tau: float, rng: np.random.Generator) -> np.ndarray:
-    """Draw one subject's error vector with marginal tau-quantile zero.
-
-    normal: AR(1) Gaussian shifted by the normal tau-quantile.
-    chisq:  Gaussian copula with chi-square(2) marginals.
-    t:      AR(1) Gaussian over sqrt(W/3), one chi-square(3) W per subject.
-    """
-    canonical = _CASE_ALIASES.get(str(case).lower())
-    if canonical is None:
-        raise ValueError(f"unknown error case {case!r}")
-    tau = check_tau(tau)
-    z, w = _gaussian_draws(canonical, np.linalg.cholesky(ar1_covariance(rho, n)), rng)
-    return _marginal_errors(canonical, z, w, tau)
-
-
 def generate_dataset(
     config: SimConfig, replication: int, tau: Optional[float] = None
 ) -> LongitudinalDataset:
@@ -195,11 +177,12 @@ def generate_dataset(
 
     Each subject's stream gives, in order, ``random(n)`` for the Bernoulli
     covariate, ``standard_normal(n)`` for the normal covariate, and then the
-    draws of ``sample_errors``: ``standard_normal(n)`` and, for the t case,
+    error draws: ``standard_normal(n)`` and, for the t case,
     ``chisquare(3)``. The covariates fill an (m, n, 3) design in place, the
     AR(1) Cholesky factor is built once per dataset and the marginal
     transform runs once on the stacked (m, n) draws, so the errors equal
-    those of ``sample_errors`` replayed on each stream.
+    those of the one-subject reference ``sample_errors`` in the test
+    suite's ``oracle`` module replayed on each stream.
     """
     tau = check_tau(config.taus[0] if tau is None else tau)
     m, n = config.m, config.n
@@ -227,6 +210,16 @@ def _fit_method_order(config: SimConfig):
     return [m for m in METHODS if m in wanted]
 
 
+_FIT_ERRORS = (SolverError, DataError, np.linalg.LinAlgError)
+
+
+def _fit_or_none(dataset, tau, method):
+    try:
+        return fit(dataset, tau, method)
+    except _FIT_ERRORS:
+        return None
+
+
 def _replicate(config: SimConfig, replication: int):
     methods = _fit_method_order(config)
     p = len(config.beta_true)
@@ -235,22 +228,16 @@ def _replicate(config: SimConfig, replication: int):
         dataset = generate_dataset(config, replication, tau)
         try:
             fits = fit_many(dataset, tau, methods)
-        except (SolverError, DataError, np.linalg.LinAlgError):
-            fits = None
+        except _FIT_ERRORS:
+            # refit each method alone, so that one that raises keeps the others' fits
+            fits = {m: _fit_or_none(dataset, tau, m) for m in methods}
         for method in methods:
-            if fits is None:
-                records.append(
-                    ReplicationRecord(
-                        tau, method, replication, np.full(p, np.nan), np.full(p, np.nan), False
-                    )
-                )
+            f = fits[method]
+            if f is None:
+                beta, se, ok = np.full(p, np.nan), np.full(p, np.nan), False
             else:
-                f = fits[method]
-                records.append(
-                    ReplicationRecord(
-                        tau, method, replication, f.beta, f.std_errors, f.converged
-                    )
-                )
+                beta, se, ok = f.beta, f.std_errors, f.converged
+            records.append(ReplicationRecord(tau, method, replication, beta, se, ok))
     return records
 
 

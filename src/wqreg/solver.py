@@ -12,7 +12,8 @@ step and the sandwich. Sigma, its factor and A depend on beta only through
 the signs of the residuals, so the loop rebuilds them only for a sign
 pattern it has not just seen. A converged weighted fit ends with Newton
 steps at frozen weights, so that beta is a machine-precision root of the
-smoothed equation; both take the same halving line search. Each stage
+smoothed equation, and stays converged only when sup |U~| reaches
+ROOT_TOLERANCE there; both take the same halving line search. Each stage
 takes the residual and A its caller holds, down to the sandwich.
 
 The WI estimate itself is the exact minimizer of the check-loss objective,
@@ -59,7 +60,6 @@ from .model import (
     smoothed_score_density,
 )
 from .sparsity import (
-    SparsityWeights,
     estimate_sparsity_hk,
     hall_sheather_bandwidth,
     identity_sparsity,
@@ -79,6 +79,7 @@ COND_MAX = 1e12  # Jacobian condition limit; beyond it the system is singular
 MAX_OUTER_ITERATIONS = 100  # Newton iterations, or WI Omega updates, per fit
 BETA_TOLERANCE = 1e-8  # sup-norm of the beta step
 OMEGA_TOLERANCE = 1e-6  # relative Frobenius change of Omega
+ROOT_TOLERANCE = 1e-9  # sup |U~| that a converged weighted fit's refinement must reach
 GAMMA_MODES = ("hk", "identity")
 RADII_FLOOR = 1e-12
 MAX_HALVINGS = 20
@@ -120,8 +121,9 @@ def _radii(X: np.ndarray, omega: np.ndarray) -> np.ndarray:
 
 
 def _design(dataset, gamma, sigma) -> np.ndarray:
-    """Whitened design A_i = L_i^{-1} Gamma_i X_i, (p, m, max_n)."""
-    return sigma.whiten(dataset.pad(gamma.values) * dataset.X_cols)
+    """Whitened design A_i = L_i^{-1} Gamma_i X_i, (p, m, max_n); gamma holds
+    the diagonals of the Gamma_i, one entry per stacked row."""
+    return sigma.whiten(dataset.pad(gamma) * dataset.X_cols)
 
 
 def _score_terms(dataset, r, state, A, sigma, tau) -> np.ndarray:
@@ -275,14 +277,14 @@ def _refine_root(dataset, beta, r, A, state, sigma, tau):
     """Newton at frozen weights from beta, with r = y - X beta, until the
     smoothed score is a numerical zero; stops where the Jacobian is singular
     or the halvings run out, and returns the iterate with the smallest
-    sup |U~| and its residual."""
+    sup |U~|, its residual and that sup |U~|."""
     U = _score_terms(dataset, r, state, A, sigma, tau).sum(axis=1)
-    best, best_norm = (beta, r), np.inf
+    best = (beta, r, np.inf)
     for _ in range(30):
         sup = float(np.max(np.abs(U)))
-        if sup < best_norm:
-            best, best_norm = (beta, r), sup
-        if sup <= 1e-9:
+        if sup < best[2]:
+            best = (beta, r, sup)
+        if sup <= ROOT_TOLERANCE:
             break
         try:
             G_inv = _jacobian(dataset, r, state, A, sigma)[1]
@@ -433,13 +435,13 @@ def _check_loss_minimizer(X: np.ndarray, y: np.ndarray, tau: float) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 
-def _fit_result(dataset, tau, method, beta, omega, state, gamma, sigma, rho_hat, iterations, converged):
+def _fit_result(dataset, tau, method, beta, omega, rho_hat, iterations, converged):
     """FitResult with SEs from omega; a failed sandwich (omega None) gives NaN
     SEs and clears ``converged``, so a converged fit always has finite SEs."""
     if omega is None:
         omega = np.full((dataset.p, dataset.p), np.nan)
         converged = False
-    result = FitResult(
+    return FitResult(
         beta=beta,
         omega=omega,
         std_errors=np.sqrt(np.maximum(np.diag(omega), 0.0)),
@@ -449,8 +451,6 @@ def _fit_result(dataset, tau, method, beta, omega, state, gamma, sigma, rho_hat,
         method=method,
         rho_hat=rho_hat,
     )
-    result._context = {"state": state, "gamma": gamma, "sigma": sigma}
-    return result
 
 
 def _fit_wi(dataset: LongitudinalDataset, tau: float, beta: np.ndarray) -> FitResult:
@@ -473,28 +473,27 @@ def _fit_wi(dataset: LongitudinalDataset, tau: float, beta: np.ndarray) -> FitRe
         state = SmoothingState.from_omega(dataset, omega)
         if converged:
             break
-    return _fit_result(
-        dataset, tau, "WI", beta, omega, state, gamma, sigma, np.empty(0), it + 1, converged
-    )
+    return _fit_result(dataset, tau, "WI", beta, omega, np.empty(0), it + 1, converged)
 
 
 def _fit_weighted(dataset, tau, method, beta0, gamma) -> FitResult:
+    """PQR or AQR fit; ``converged`` means that the Newton loop stopped and
+    that the root refinement reached ROOT_TOLERANCE."""
     beta, state, sigma, rho_hat, iterations, converged, r, A = _newton_loop(
         dataset, tau, method, beta0, gamma
     )
     if converged:
-        beta, r = _refine_root(dataset, beta, r, A, state, sigma, tau)
+        beta, r, root_norm = _refine_root(dataset, beta, r, A, state, sigma, tau)
+        converged = root_norm <= ROOT_TOLERANCE
     try:
         G_inv = _jacobian(dataset, r, state, A, sigma)[1]
         omega = _sandwich(G_inv, _score_terms(dataset, r, state, A, sigma, tau))
     except SolverError:
         omega = None
-    return _fit_result(
-        dataset, tau, method, beta, omega, state, gamma, sigma, rho_hat, iterations, converged
-    )
+    return _fit_result(dataset, tau, method, beta, omega, rho_hat, iterations, converged)
 
 
-def _gamma_for(dataset, tau, gamma_mode) -> SparsityWeights:
+def _gamma_for(dataset, tau, gamma_mode) -> np.ndarray:
     if gamma_mode == "identity":
         return identity_sparsity(dataset)
     h = hall_sheather_bandwidth(tau, dataset.n_obs)

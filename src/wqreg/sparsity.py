@@ -8,8 +8,6 @@ quantile crossings. Identity weights are available as the cheap alternative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import ndtri
 
@@ -17,7 +15,6 @@ from .exceptions import DataError
 from .model import LongitudinalDataset, check_tau
 
 __all__ = [
-    "SparsityWeights",
     "hall_sheather_bandwidth",
     "estimate_sparsity_hk",
     "identity_sparsity",
@@ -29,17 +26,6 @@ D_MIN = 1e-6
 F_MIN = 1e-3
 F_MAX = 1e3
 _Z975 = float(ndtri(0.975))
-
-
-@dataclass
-class SparsityWeights:
-    """Per-observation density weights f_ij, the diagonal of Gamma_i."""
-
-    values: np.ndarray  # (N,)
-    mode: str  # "hk" or "identity"
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float).ravel()
 
 
 def hall_sheather_bandwidth(tau: float, n_obs: int) -> float:
@@ -68,8 +54,9 @@ def estimate_sparsity_hk(
     h: float,
     beta_lo: np.ndarray,
     beta_hi: np.ndarray,
-) -> SparsityWeights:
-    """Hendricks-Koenker density estimates 2h / (x_ij'(beta_hi - beta_lo)).
+) -> np.ndarray:
+    """Hendricks-Koenker density estimates 2h / (x_ij'(beta_hi - beta_lo)),
+    one per stacked row: the diagonal of Gamma_i.
 
     beta_lo and beta_hi are quantile regression coefficients at tau - h and
     tau + h; the solver passes the exact check-loss minimizers. Invalid
@@ -85,9 +72,9 @@ def estimate_sparsity_hk(
         f[~valid] = np.median(f[valid])
     else:
         f[:] = 1.0
-    return SparsityWeights(f, "hk")
+    return f
 
 
-def identity_sparsity(dataset: LongitudinalDataset) -> SparsityWeights:
-    """Unit weights; treats Gamma_i as the identity matrix."""
-    return SparsityWeights(np.ones(dataset.n_obs), "identity")
+def identity_sparsity(dataset: LongitudinalDataset) -> np.ndarray:
+    """Unit weights, one per stacked row; treats Gamma_i as the identity matrix."""
+    return np.ones(dataset.n_obs)

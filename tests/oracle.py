@@ -5,11 +5,14 @@ p-subsets of observations, which is only viable on tiny instances; the
 other oracles provide independent numbers for cross-checking the check
 loss, the solver's Jacobian, the working covariance and the
 lag-correlation estimator; ``newton_loop_reference`` is the weighted
-Newton loop without its memo of working covariances. Two kinds of helper
-are not oracles: ``subject_rows`` rebuilds per-subject views of a dataset,
-and the kernel helpers compose the solver's private kernels into the
-estimating function, its Jacobian, the score covariance and the sandwich
-for the tests that check them.
+Newton loop without its memo of working covariances; ``sample_errors``
+draws one subject's errors, the reference for the streams of
+``generate_dataset``. Three kinds of helper are not oracles:
+``subject_rows`` rebuilds per-subject views of a dataset, the kernel
+helpers compose the solver's private kernels into the estimating function,
+its Jacobian, the score covariance and the sandwich for the tests that
+check them, and ``fit_state`` rebuilds the smoothing state, Gamma and Sigma
+a fit ended with through the solver's own stages.
 """
 
 from __future__ import annotations
@@ -19,9 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wqreg import solver
+from wqreg import simulation, solver
+from wqreg.correlation import ScoreVariances, assemble_working_covariance, sigma_constant
 from wqreg.exceptions import DataError
 from wqreg.model import LongitudinalDataset, Subject, check_tau
+from wqreg.sparsity import identity_sparsity
 
 __all__ = [
     "OracleFit",
@@ -35,6 +40,8 @@ __all__ = [
     "score_covariance",
     "sandwich_covariance",
     "newton_loop_reference",
+    "fit_state",
+    "sample_errors",
     "exact_wi_fit",
     "finite_difference_jacobian",
     "indicator_correlation_oracle",
@@ -124,6 +131,42 @@ def newton_loop_reference(dataset, tau, method, beta0, gamma):
             converged = True
             break
     return beta, state, sigma, rho_hat, it + 1, converged, residual(dataset, beta), A
+
+
+def fit_state(dataset, tau, result, gamma_mode="hk"):
+    """(SmoothingState, Gamma, Sigma) that the fit ``result`` ended with.
+
+    WI: the state at the reported Omega, unit Gamma and the constant Sigma.
+    PQR and AQR: the last state and Sigma of the Newton loop, started from
+    the check-loss minimizer with the Gamma of ``gamma_mode``. Both paths
+    are deterministic, so they reproduce the fit's arrays exactly.
+    """
+    tau = check_tau(tau)
+    if result.method == "WI":
+        variances = ScoreVariances(np.full(dataset.max_n, sigma_constant(tau)))
+        sigma = assemble_working_covariance(variances, np.eye(dataset.max_n), dataset)
+        state = solver.SmoothingState.from_omega(dataset, result.omega)
+        return state, identity_sparsity(dataset), sigma
+    beta0 = solver._check_loss_minimizer(dataset.X, dataset.y, tau)
+    gamma = solver._gamma_for(dataset, tau, gamma_mode)
+    loop = solver._newton_loop(dataset, tau, result.method, beta0, gamma)
+    return loop[1], gamma, loop[2]
+
+
+def sample_errors(case: str, rho: float, n: int, tau: float, rng: np.random.Generator) -> np.ndarray:
+    """Draw one subject's error vector with marginal tau-quantile zero.
+
+    normal: AR(1) Gaussian shifted by the normal tau-quantile.
+    chisq:  Gaussian copula with chi-square(2) marginals.
+    t:      AR(1) Gaussian over sqrt(W/3), one chi-square(3) W per subject.
+    """
+    canonical = simulation._CASE_ALIASES.get(str(case).lower())
+    if canonical is None:
+        raise ValueError(f"unknown error case {case!r}")
+    tau = check_tau(tau)
+    L = np.linalg.cholesky(simulation.ar1_covariance(rho, n))
+    z, w = simulation._gaussian_draws(canonical, L, rng)
+    return simulation._marginal_errors(canonical, z, w, tau)
 
 
 @dataclass

@@ -278,15 +278,14 @@ def test_report_document_round_trip(tmp_path):
 
 
 def test_build_sim_configs_defaults():
-    configs, merged = build_sim_configs({})
-    assert merged["case"] == "normal"
-    assert merged["m"] == "500"
-    assert merged["n"] == "4"
-    assert merged["reps"] == "1000"
-    assert merged["taus"] == "0.25,0.5,0.95"
-    assert merged["seed"] == "20240901"
+    configs = build_sim_configs({})
     assert [c.rho for c in configs] == [0.1, 0.5, 0.9]
-    assert configs[0].methods == ("WI", "PQR", "AQR")
+    for c in configs:
+        assert c.error_case == "normal"
+        assert (c.m, c.n, c.replications) == (500, 4, 1000)
+        assert c.taus == (0.25, 0.5, 0.95)
+        assert c.master_seed == 20240901
+        assert c.methods == ("WI", "PQR", "AQR")
     with pytest.raises(SchemaError):
         build_sim_configs({"rho": "0.5,nope"})
 

@@ -12,18 +12,18 @@ from scipy.linalg import toeplitz
 from scipy.special import ndtr
 
 import wqreg
-from wqreg import SimConfig, run_study
+from wqreg import SimConfig, SolverError, fit, run_study
 from wqreg.simulation import (
     ReplicationRecord,
     SimStudyReport,
     _marginal_errors,
+    _replicate,
     ar1_covariance,
     generate_dataset,
-    sample_errors,
     summarize,
 )
 
-from oracle import subject_rows
+from oracle import sample_errors, subject_rows
 
 
 def test_sim_config_validation():
@@ -279,6 +279,26 @@ def test_run_study_wi_always_recorded():
     assert report.methods == ("WI", "PQR")
     assert {r.method for r in report.rows} == {"WI", "PQR"}
     assert all(np.isfinite(r.eff) for r in report.rows)
+
+
+def test_replicate_keeps_the_fits_of_methods_that_did_not_raise():
+    # in replication 7 AQR's Jacobian stays singular under radius inflation,
+    # so the joint fit raises; WI and PQR are refitted alone and kept
+    config = SimConfig(m=60, n=4, rho=0.9, taus=(0.95,), master_seed=1)
+    ds = generate_dataset(config, 7)
+    with pytest.raises(SolverError):
+        fit(ds, 0.95, "AQR")
+    records = {r.method: r for r in _replicate(config, 7)}
+    for method in ("WI", "PQR"):
+        want = fit(ds, 0.95, method)
+        got = records[method]
+        assert np.array_equal(got.beta, want.beta)
+        assert np.array_equal(got.std_errors, want.std_errors)
+        assert got.converged == want.converged
+    assert records["WI"].converged
+    aqr = records["AQR"]
+    assert np.all(np.isnan(aqr.beta)) and np.all(np.isnan(aqr.std_errors))
+    assert not aqr.converged
 
 
 def test_report_row_lookup():

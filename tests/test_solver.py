@@ -1,18 +1,23 @@
 """Estimating function, Jacobian, sandwich, and the fitting drivers."""
 
 from contextlib import nullcontext
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import wqreg.solver as solver_mod
 from wqreg import (
     DataError,
+    FitResult,
     LongitudinalDataset,
     SimConfig,
     SolverError,
     Subject,
+    WqregError,
     confidence_intervals,
     fit,
     fit_many,
@@ -25,13 +30,14 @@ from wqreg.correlation import (
     assemble_working_covariance,
     build_stationary_correlation,
 )
-from wqreg.sparsity import SparsityWeights, identity_sparsity
+from wqreg.sparsity import identity_sparsity
 
 from conftest import random_dataset, scalar_dataset
 from oracle import (
     check_objective,
     exact_wi_fit,
     finite_difference_jacobian,
+    fit_state,
     newton_loop_reference,
     sandwich_covariance,
     score_covariance,
@@ -99,7 +105,7 @@ def test_estimating_function_matches_direct_formula(rng):
         beta = rng.standard_normal(2)
         omega = np.diag(rng.uniform(0.5, 2.0, 2))
         state = SmoothingState.from_omega(ds, omega)
-        gamma = SparsityWeights(rng.uniform(0.5, 2.0, ds.n_obs), "hk")
+        gamma = rng.uniform(0.5, 2.0, ds.n_obs)
         variances = rng.uniform(0.1, 0.4, ds.max_n)
         if subs is ragged:
             variances[::3] = 0.0  # floored to SIGMA_MIN
@@ -118,7 +124,7 @@ def test_estimating_function_matches_direct_formula(rng):
             rows = slice(ds.offsets[i], ds.offsets[i + 1])
             Xi = s.covariates
             ri = state.radii[rows]
-            gi = np.diag(gamma.values[rows])
+            gi = np.diag(gamma[rows])
             sig_inv = np.linalg.inv(subject_matrix(sigma, ds, i))
             psi = smoothed_score(s.responses - Xi @ beta, ri, tau)
             lam = np.diag(smoothed_score_density(s.responses - Xi @ beta, ri))
@@ -318,6 +324,8 @@ def test_fit_result_invariants():
         res = fit(ds, 0.5, method)
         assert res.converged
         assert res.method == method
+        assert list(vars(res)) == [f.name for f in fields(FitResult)]
+        assert len(vars(res)) == 8
         sym = np.max(np.abs(res.omega - res.omega.T))
         assert sym <= 1e-10 * max(np.max(np.abs(res.omega)), 1e-300)
         eigs = np.linalg.eigvalsh(res.omega)
@@ -335,11 +343,9 @@ def test_newton_fixed_point_at_reported_root():
     for method in ("WI", "PQR", "AQR"):
         res = fit(ds, 0.5, method)
         assert res.converged
-        ctx = res._context
-        args = (ds, res.beta, ctx["state"], ctx["gamma"], ctx["sigma"], 0.5)
+        args = (ds, res.beta, *fit_state(ds, 0.5, res), 0.5)
         if method == "WI":
             # Omega reproduces itself under the sandwich at its own radii
-            assert np.array_equal(ctx["state"].omega, res.omega)
             again = sandwich_covariance(*args)
             assert np.linalg.norm(again - res.omega) <= 1e-6 * np.linalg.norm(res.omega)
         else:
@@ -474,8 +480,11 @@ def test_identity_gamma_mode(rng):
     ds = random_dataset(rng, 30, 3, 2)
     res = fit(ds, 0.5, "PQR", gamma_mode="identity")
     assert res.converged
-    ctx = res._context
-    assert ctx["gamma"].mode == "identity"
+    beta0 = solver_mod._check_loss_minimizer(ds.X, ds.y, 0.5)
+    want = solver_mod._fit_weighted(ds, 0.5, "PQR", beta0, identity_sparsity(ds))
+    for name in ("beta", "omega", "std_errors", "rho_hat", "iterations", "converged"):
+        assert np.array_equal(getattr(res, name), getattr(want, name))
+    assert not np.array_equal(res.beta, fit(ds, 0.5, "PQR").beta)
 
 
 def test_singleton_occasions_fit(rng):
@@ -485,6 +494,38 @@ def test_singleton_occasions_fit(rng):
     for res in fits.values():
         assert res.converged
         assert res.rho_hat.size == 0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    lengths=st.lists(st.integers(1, 6), min_size=12, max_size=40),
+    seed=st.integers(0, 2**32 - 1),
+    tau=st.sampled_from([0.25, 0.5, 0.75]),
+)
+# AQR's Omega collapses to about 1e-28 here, and the tiny Newton steps of a
+# huge G~ once passed the beta test of a fit that is not a root
+@example(lengths=[1] * 11 + [3], seed=1, tau=0.5)
+def test_converged_fits_are_verified_roots(lengths, seed, tau):
+    # unbalanced panels with singletons: y = 0.5 + x + N(0, 1)
+    rng = np.random.default_rng(seed)
+    N = sum(lengths)
+    X = np.column_stack([np.ones(N), rng.standard_normal(N)])
+    y = X @ [0.5, 1.0] + rng.standard_normal(N)
+    ds = LongitudinalDataset.from_rows(X, y, lengths, [str(i) for i in range(len(lengths))])
+    # divergent fits overflow Omega
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            fits = fit_many(ds, tau, ["WI", "PQR", "AQR"])
+        except WqregError:
+            return
+        for res in fits.values():
+            if not res.converged:
+                continue
+            for value in (res.beta, res.std_errors, res.omega):
+                assert np.all(np.isfinite(value))
+            if res.method != "WI":
+                U = smoothed_estimating_function(ds, res.beta, *fit_state(ds, tau, res), tau)
+                assert np.max(np.abs(U)) <= 1e-6
 
 
 def memo_case(name):
@@ -536,8 +577,7 @@ def test_weighted_omega_is_the_sandwich_at_the_reported_beta(halvings, case, met
     ds, tau, _, _ = memo_case(case)
     with np.errstate(over="ignore", invalid="ignore") if halvings == 0 else nullcontext():
         res = fit(ds, tau, method)
-        ctx = res._context
-        want = sandwich_covariance(ds, res.beta, ctx["state"], ctx["gamma"], ctx["sigma"], tau)
+        want = sandwich_covariance(ds, res.beta, *fit_state(ds, tau, res), tau)
     assert np.array_equal(res.omega, want)
 
 

@@ -40,16 +40,16 @@ def test_hk_unit_density():
     ds = scalar_dataset([1.0, 2.0, 3.0])
     h = 0.05
     w = estimate_sparsity_hk(ds, 0.5, h, [0.0], [2 * h])
-    assert np.allclose(w.values, 1.0)
-    assert w.mode == "hk"
+    assert w.shape == (3,)
+    assert np.allclose(w, 1.0)
 
 
 def test_hk_crossing_falls_back():
     ds = scalar_dataset([1.0, 2.0, 3.0])
     # zero difference everywhere: no valid denominators, weights fall to 1
     w = estimate_sparsity_hk(ds, 0.5, 0.05, [1.0], [1.0])
-    assert np.all(np.isfinite(w.values))
-    assert np.allclose(w.values, 1.0)
+    assert np.all(np.isfinite(w))
+    assert np.allclose(w, 1.0)
 
 
 def test_hk_partial_crossing_uses_median():
@@ -64,22 +64,25 @@ def test_hk_partial_crossing_uses_median():
     )
     h = 0.05
     w = estimate_sparsity_hk(ds, 0.5, h, np.array([0.0, 0.0]), np.array([2 * h, -2 * h]))
-    assert w.values[0] == pytest.approx(1.0)
-    assert w.values[1] == pytest.approx(1.0)  # median of the single valid weight
+    assert w[0] == pytest.approx(1.0)
+    assert w[1] == pytest.approx(1.0)  # median of the single valid weight
 
 
 def test_hk_clamped_range():
     ds = scalar_dataset([1.0, 2.0])
     w_small = estimate_sparsity_hk(ds, 0.5, 0.05, [0.0], [1e9])
-    assert np.all(w_small.values >= F_MIN)
+    assert np.all(w_small >= F_MIN)
     w_big = estimate_sparsity_hk(ds, 0.5, 0.05, [0.0], [1e-5])
-    assert np.all(w_big.values <= F_MAX)
+    assert np.all(w_big <= F_MAX)
 
 
 def test_hk_falls_back_to_identity_when_an_lp_fails(monkeypatch):
     ds = scalar_dataset(np.linspace(0.0, 1.0, 40))
     exact = solver_mod._check_loss_minimizer
-    assert solver_mod._gamma_for(ds, 0.5, "hk").mode == "hk"
+    h = hall_sheather_bandwidth(0.5, ds.n_obs)
+    hk = estimate_sparsity_hk(ds, 0.5, h, exact(ds.X, ds.y, 0.5 - h), exact(ds.X, ds.y, 0.5 + h))
+    assert np.array_equal(solver_mod._gamma_for(ds, 0.5, "hk"), hk)
+    assert not np.all(hk == 1.0)
 
     def fail_above_median(X, y, tau):
         if tau > 0.5:
@@ -88,17 +91,14 @@ def test_hk_falls_back_to_identity_when_an_lp_fails(monkeypatch):
 
     # the LP at tau + h fails, the one at tau - h does not
     monkeypatch.setattr(solver_mod, "_check_loss_minimizer", fail_above_median)
-    w = solver_mod._gamma_for(ds, 0.5, "hk")
-    assert w.mode == "identity"
-    assert np.all(w.values == 1.0)
+    assert np.array_equal(solver_mod._gamma_for(ds, 0.5, "hk"), identity_sparsity(ds))
 
 
 def test_identity_sparsity():
     ds = scalar_dataset([1.0, 2.0, 3.0])
     w = identity_sparsity(ds)
-    assert w.mode == "identity"
-    assert w.values.shape == (3,)
-    assert np.all(w.values == 1.0)
+    assert w.shape == (3,)
+    assert np.all(w == 1.0)
 
 
 def _mean_hk_weight(m, seed=7):
@@ -108,7 +108,7 @@ def _mean_hk_weight(m, seed=7):
     lo = fit(ds, 0.5 - h, "WI")
     hi = fit(ds, 0.5 + h, "WI")
     w = estimate_sparsity_hk(ds, 0.5, h, lo.beta, hi.beta)
-    return float(np.mean(w.values))
+    return float(np.mean(w))
 
 
 def test_hk_recovers_normal_density_at_median():
