@@ -13,7 +13,7 @@ data generators are reached through their modules (``wqreg.solver``,
 """
 
 from .exceptions import DataError, SchemaError, SolverError, WqregError
-from .model import FitResult, LongitudinalDataset, Subject
+from .model import FitResult, LongitudinalDataset
 from .simulation import SimConfig, run_study
 from .solver import confidence_intervals, fit, fit_many
 
@@ -26,7 +26,6 @@ __all__ = [
     "SchemaError",
     "SimConfig",
     "SolverError",
-    "Subject",
     "WqregError",
     "confidence_intervals",
     "fit",

@@ -169,7 +169,7 @@ def load_csv(path: str, spec: FitCommandSpec):
     design = [np.ones(len(values))] if spec.intercept else []
     design += [cols[c] for c in spec.covariates]
     design += [cols[a] * cols[b] for a, b in spec.interactions]
-    dataset = LongitudinalDataset.from_rows(
+    dataset = LongitudinalDataset(
         np.column_stack(design), cols[spec.response], np.bincount(subject), list(codes)
     )
     if dropped:
@@ -185,6 +185,8 @@ def load_csv(path: str, spec: FitCommandSpec):
 def run_fit_command(spec: FitCommandSpec) -> ReportDocument:
     if not spec.taus:
         raise SchemaError("tau list must be non-empty")
+    if len(set(spec.taus)) < len(spec.taus):
+        raise SchemaError(f"tau list repeats a level: {spec.taus}")
     dataset, dropped = load_csv(spec.data, spec)
     names = spec.design_names()
     metadata = {

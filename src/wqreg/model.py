@@ -17,7 +17,6 @@ from .exceptions import DataError
 
 __all__ = [
     "check_tau",
-    "Subject",
     "LongitudinalDataset",
     "FitResult",
     "score_psi",
@@ -58,65 +57,20 @@ def _norm_cdf(z: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Subject:
-    """One independent subject: covariate rows x_ij and responses y_ij."""
-
-    id: object
-    covariates: np.ndarray  # (n_i, p), row j = x_ij
-    responses: np.ndarray  # (n_i,)
-
-    def __post_init__(self):
-        self.covariates = np.atleast_2d(np.asarray(self.covariates, dtype=float))
-        self.responses = np.asarray(self.responses, dtype=float).ravel()
-        if self.covariates.shape[0] != self.responses.shape[0]:
-            raise DataError(
-                f"subject {self.id!r}: {self.covariates.shape[0]} covariate rows "
-                f"vs {self.responses.shape[0]} responses"
-            )
-        if self.responses.shape[0] < 1:
-            raise DataError(f"subject {self.id!r} has no observations")
-        if not (np.all(np.isfinite(self.covariates)) and np.all(np.isfinite(self.responses))):
-            raise DataError(f"subject {self.id!r} contains non-finite values")
-
-    @property
-    def n(self) -> int:
-        return self.responses.shape[0]
-
-
 class LongitudinalDataset:
     """An ordered collection of subjects sharing one covariate dimension.
 
-    The rows are stacked subject by subject, ``X`` (n_obs, p) and ``y``, with
-    the subjects' ``lengths`` and ``ids``. The constructor also caches a padded
-    layout: row i of an (m, max_n) array holds subject i's occasions, followed
-    by zeros where ``mask`` is False, and the design on it as p contiguous
-    columns, ``X_cols`` (p, m, max_n). The solver estimates every subject's
+    The rows are stacked subject by subject: subject i, named ``ids[i]``,
+    holds the next ``lengths[i]`` rows of ``X`` (n_obs, p) and ``y``
+    (n_obs,). The constructor also caches a padded layout: row i of an
+    (m, max_n) array holds subject i's occasions, followed by zeros where
+    ``mask`` is False, and the design on it as p contiguous columns,
+    ``X_cols`` (p, m, max_n). The solver estimates every subject's
     working covariance from residuals padded by ``pad`` and applies it at
     once on that layout.
     """
 
-    def __init__(self, subjects):
-        subjects = list(subjects)
-        p = subjects[0].covariates.shape[1] if subjects else 0
-        for s in subjects:
-            if s.covariates.shape[1] != p:
-                raise DataError(
-                    f"subject {s.id!r} has {s.covariates.shape[1]} covariates, expected {p}"
-                )
-        X = np.concatenate([s.covariates for s in subjects] or [np.empty((0, p))])
-        y = np.concatenate([s.responses for s in subjects] or [np.empty(0)])
-        self._set_rows(X, y, [s.n for s in subjects], [s.id for s in subjects])
-
-    @classmethod
-    def from_rows(cls, X, y, lengths, ids) -> "LongitudinalDataset":
-        """Dataset from stacked rows: subject i, named ids[i], holds the next
-        lengths[i] rows of X (n_obs, p) and y (n_obs,)."""
-        dataset = cls.__new__(cls)
-        dataset._set_rows(X, y, lengths, ids)
-        return dataset
-
-    def _set_rows(self, X, y, lengths, ids):
+    def __init__(self, X, y, lengths, ids):
         self.X, self.y = np.array(X, dtype=float), np.array(y, dtype=float)
         self.lengths, self.ids = np.asarray(lengths, dtype=int), list(ids)
         rows = self.lengths.sum()

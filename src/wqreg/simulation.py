@@ -13,7 +13,7 @@ from scipy.special import gammaincinv, ndtr, ndtri, stdtrit
 
 from .exceptions import DataError, SolverError
 from .model import LongitudinalDataset, check_tau
-from .solver import METHODS, fit, fit_many
+from .solver import METHODS, _method_list, fit, fit_many
 
 __all__ = [
     "SimConfig",
@@ -70,13 +70,10 @@ class SimConfig:
         self.taus = tuple(check_tau(t) for t in self.taus)
         if not self.taus:
             raise ValueError("taus must be non-empty")
-        methods = tuple(str(m).upper() for m in self.methods)
-        for m in methods:
-            if m not in METHODS:
-                raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
-        if not methods:
-            raise ValueError("methods must be non-empty")
-        self.methods = methods
+        if len(set(self.taus)) < len(self.taus):
+            # each tau's fits would be pooled into one summary cell
+            raise ValueError(f"taus must not repeat a level, got {self.taus}")
+        self.methods = _method_list(self.methods)
         self.master_seed = int(self.master_seed)
 
 
@@ -199,7 +196,7 @@ def generate_dataset(
         X[i, :, 2] = rng.standard_normal(n)
         z[i], w[i] = _gaussian_draws(config.error_case, L, rng)
     eps = _marginal_errors(config.error_case, z, w, tau)
-    return LongitudinalDataset.from_rows(
+    return LongitudinalDataset(
         X.reshape(m * n, 3), (X @ beta + eps).ravel(), np.full(m, n), [str(i) for i in range(m)]
     )
 

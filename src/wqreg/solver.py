@@ -507,6 +507,17 @@ def _gamma_for(dataset, tau, gamma_mode) -> np.ndarray:
     return estimate_sparsity_hk(dataset, tau, h, beta_lo, beta_hi)
 
 
+def _method_list(methods) -> tuple:
+    """The named methods upper-cased, each once in the given order."""
+    wanted = tuple(dict.fromkeys(str(m).upper() for m in methods))
+    for m in wanted:
+        if m not in METHODS:
+            raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
+    if not wanted:
+        raise ValueError("methods must be non-empty")
+    return wanted
+
+
 def fit_many(
     dataset: LongitudinalDataset,
     tau: float,
@@ -516,17 +527,15 @@ def fit_many(
 ) -> dict:
     """Fit several methods at one tau, sharing the check-loss minimizer and Gamma.
 
-    Returns a dict keyed by canonical method name. The exact check-loss
-    minimizer is always computed: it is the WI estimate and the start of
-    the weighted methods. WI's Omega fixed point runs only when WI is
-    requested. ``gamma_mode`` is "hk" for Hendricks-Koenker sparsity
-    weights in PQR and AQR, or "identity" for unit weights.
+    Returns a dict keyed by canonical method name; a method named twice is
+    fitted once. The exact check-loss minimizer is always computed: it is
+    the WI estimate and the start of the weighted methods. WI's Omega fixed
+    point runs only when WI is requested. ``gamma_mode`` is "hk" for
+    Hendricks-Koenker sparsity weights in PQR and AQR, or "identity" for
+    unit weights.
     """
     tau = check_tau(tau)
-    wanted = [str(m).upper() for m in methods]
-    for m in wanted:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
+    wanted = _method_list(methods)
     if gamma_mode not in GAMMA_MODES:
         raise ValueError(f"unknown gamma_mode {gamma_mode!r}; expected one of {GAMMA_MODES}")
     if dataset.n_obs <= dataset.p:

@@ -8,7 +8,7 @@ lag-correlation estimator; ``newton_loop_reference`` is the weighted
 Newton loop without its memo of working covariances; ``sample_errors``
 draws one subject's errors, the reference for the streams of
 ``generate_dataset``. Three kinds of helper are not oracles:
-``subject_rows`` rebuilds per-subject views of a dataset, the kernel
+``subject_rows`` yields per-subject views of a dataset, the kernel
 helpers compose the solver's private kernels into the estimating function,
 its Jacobian, the score covariance and the sandwich for the tests that
 check them, and ``fit_state`` rebuilds the smoothing state, Gamma and Sigma
@@ -25,7 +25,7 @@ import numpy as np
 from wqreg import simulation, solver
 from wqreg.correlation import ScoreVariances, assemble_working_covariance, sigma_constant
 from wqreg.exceptions import DataError
-from wqreg.model import LongitudinalDataset, Subject, check_tau
+from wqreg.model import LongitudinalDataset, check_tau
 from wqreg.sparsity import identity_sparsity
 
 __all__ = [
@@ -74,10 +74,11 @@ def subject_matrix(cov, dataset: LongitudinalDataset, i: int) -> np.ndarray:
     return sd[:, None] * cov.correlation[:n, :n] * sd[None, :]
 
 
-def subject_rows(dataset: LongitudinalDataset) -> list:
-    """The dataset's subjects, rebuilt from its stacked rows."""
+def subject_rows(dataset: LongitudinalDataset):
+    """Each subject's (id, X_i, y_i), sliced from the stacked rows."""
     bounds = zip(dataset.ids, dataset.offsets[:-1], dataset.offsets[1:])
-    return [Subject(sid, dataset.X[a:b], dataset.y[a:b]) for sid, a, b in bounds]
+    for sid, a, b in bounds:
+        yield sid, dataset.X[a:b], dataset.y[a:b]
 
 
 # U~, G~ and cov(U~) composed from the solver's private kernels

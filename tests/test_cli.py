@@ -36,9 +36,9 @@ def simulated_csv(path, m=80, rho=0.0, seed=5):
     config = SimConfig(m=m, n=4, rho=rho, taus=(0.5,), replications=1, master_seed=seed)
     ds = generate_dataset(config, 0)
     rows = []
-    for sub in subject_rows(ds):
-        for X_row, y in zip(sub.covariates, sub.responses):
-            rows.append([sub.id, repr(float(y)), repr(float(X_row[1])), repr(float(X_row[2]))])
+    for sid, X, Y in subject_rows(ds):
+        for X_row, y in zip(X, Y):
+            rows.append([sid, repr(float(y)), repr(float(X_row[1])), repr(float(X_row[2]))])
     write_csv(path, ["id", "y", "trt", "x"], rows)
 
 
@@ -58,11 +58,11 @@ def test_load_csv_groups_by_id(tmp_path):
     assert ds.m == 2
     assert ds.n_obs == 4
     # subjects keep first-appearance order and rows stay in file order
-    subjects = subject_rows(ds)
-    assert [s.id for s in subjects] == ["b", "a"]
-    assert np.allclose(subjects[0].responses, [1.0, 3.0])
-    assert np.allclose(subjects[0].covariates[:, 0], 1.0)
-    assert subjects[0].covariates.shape == (2, 3)
+    (sid_b, X_b, y_b), (sid_a, _, _) = subject_rows(ds)
+    assert [sid_b, sid_a] == ["b", "a"]
+    assert np.allclose(y_b, [1.0, 3.0])
+    assert np.allclose(X_b[:, 0], 1.0)
+    assert X_b.shape == (2, 3)
 
 
 def test_load_csv_drops_incomplete_rows(tmp_path, capsys):
@@ -110,12 +110,12 @@ def test_load_csv_reads_rows_as_csv_dict_reader_does(tmp_path, capsys):
     path.write_text("\n".join(lines) + "\n")
     ds, dropped = load_csv(str(path), spec_for(path))
     assert dropped == 1 and "dropped 1 rows" in capsys.readouterr().err
-    subjects = subject_rows(ds)
-    assert [s.id for s in subjects] == ["a", "b"]
-    assert np.array_equal(subjects[0].covariates, [[1.0, 0.0, 0.1], [1.0, 1.0, 0.6]])
-    assert np.array_equal(subjects[0].responses, [1.0, 3.0])
-    assert np.array_equal(subjects[1].covariates, [[1.0, 0.0, 0.4]])
-    assert np.array_equal(subjects[1].responses, [2.5])
+    (sid_a, X_a, y_a), (sid_b, X_b, y_b) = subject_rows(ds)
+    assert [sid_a, sid_b] == ["a", "b"]
+    assert np.array_equal(X_a, [[1.0, 0.0, 0.1], [1.0, 1.0, 0.6]])
+    assert np.array_equal(y_a, [1.0, 3.0])
+    assert np.array_equal(X_b, [[1.0, 0.0, 0.4]])
+    assert np.array_equal(y_b, [2.5])
 
     path.write_text("\n".join(lines + ["c,99,nan,1,0.2", "c,99,1.5,0,0.3"]) + "\n")
     code = main(
@@ -168,6 +168,22 @@ def test_empty_tau_list_is_schema_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_repeated_tau_is_schema_error_before_any_fit(tmp_path, capsys):
+    # a repeated tau would write its rows twice under one "# fit tau=" line
+    path = tmp_path / "d.csv"
+    simulated_csv(path, m=20)
+    out = tmp_path / "r.csv"
+    args = [
+        "fit", "--data", str(path), "--response", "y", "--id", "id",
+        "--covariates", "trt,x", "--tau", "0.5,0.25,0.5", "--out", str(out),
+    ]
+    assert main(args) == 2
+    assert "error: tau list repeats a level" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(SchemaError):
+        run_fit_command(spec_for(path, taus=[0.5, 0.5]))
+
+
 def test_tau_outside_unit_interval_is_schema_error_before_loading(tmp_path, capsys):
     # the data file does not exist: the tau check must fire before any read
     args = [
@@ -209,9 +225,9 @@ def test_interaction_column_order(tmp_path):
     spec = spec_for(path, covariates=["trt", "time"], interactions=[("trt", "time")])
     assert spec.design_names() == ["intercept", "trt", "time", "trt:time"]
     ds, _ = load_csv(str(path), spec)
-    first = subject_rows(ds)[0]
-    assert first.covariates.shape == (2, 4)
-    assert np.allclose(first.covariates[0], [1.0, 2.0, 3.0, 6.0])
+    _, X_first, _ = next(subject_rows(ds))
+    assert X_first.shape == (2, 4)
+    assert np.allclose(X_first[0], [1.0, 2.0, 3.0, 6.0])
 
 
 def test_fit_recovers_near_noiseless_line(tmp_path):
@@ -288,6 +304,8 @@ def test_build_sim_configs_defaults():
         assert c.methods == ("WI", "PQR", "AQR")
     with pytest.raises(SchemaError):
         build_sim_configs({"rho": "0.5,nope"})
+    with pytest.raises(SchemaError, match="repeat"):
+        build_sim_configs({"taus": "0.5,0.5"})
 
 
 def test_simulate_cli_is_byte_identical_between_runs(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wqreg import DataError, LongitudinalDataset, SimConfig, Subject
+from wqreg import DataError, LongitudinalDataset, SimConfig
 from wqreg.correlation import (
     SIGMA_MIN,
     ScoreVariances,
@@ -19,7 +19,7 @@ from wqreg.correlation import (
 )
 from wqreg.simulation import generate_dataset
 
-from conftest import random_dataset
+from conftest import ragged_dataset, random_dataset
 from oracle import (
     empirical_variance_oracle,
     indicator_correlation_oracle,
@@ -32,12 +32,10 @@ def padded_residual(ds, beta):
     return ds.pad(ds.y - ds.X @ beta)
 
 
-def panel(rows):
-    """rows: list of (x_rows, y_values) per subject with intercept column."""
-    subs = []
-    for i, (X, y) in enumerate(rows):
-        subs.append(Subject(id=i, covariates=X, responses=y))
-    return LongitudinalDataset(subs)
+def panel(y, lengths):
+    """Stacked responses of subjects with the given numbers of occasions, on
+    an intercept-only design."""
+    return LongitudinalDataset(np.ones((len(y), 1)), y, lengths, range(len(lengths)))
 
 
 def test_sigma_constant_values():
@@ -54,20 +52,13 @@ def test_score_variances_floor():
 
 def test_sigma_empirical_direct_count():
     # occasion 0 indicators {1,0,0,1} -> p=0.5, sigma=0.25
-    ds = panel(
-        [
-            ([[1.0]], [-1.0]),
-            ([[1.0]], [1.0]),
-            ([[1.0]], [2.0]),
-            ([[1.0]], [-0.5]),
-        ]
-    )
+    ds = panel([-1.0, 1.0, 2.0, -0.5], [1, 1, 1, 1])
     v = sigma_empirical(ds, padded_residual(ds, np.array([0.0])))
     assert v.per_position[0] == pytest.approx(0.25)
 
 
 def test_sigma_empirical_floor_engaged():
-    ds = panel([([[1.0]], [1.0]), ([[1.0]], [2.0])])
+    ds = panel([1.0, 2.0], [1, 1])
     v = sigma_empirical(ds, padded_residual(ds, np.array([0.0])))  # no negative residuals
     assert v.per_position[0] == SIGMA_MIN
 
@@ -80,7 +71,7 @@ def test_sigma_empirical_consistent_at_truth():
 
 
 def test_standardized_scores_values():
-    ds = panel([([[1.0]], [1.0]), ([[1.0]], [-1.0])])
+    ds = panel([1.0, -1.0], [1, 1])
     v = ScoreVariances([0.25])
     s = standardized_scores(ds, padded_residual(ds, np.array([0.0])), 0.5, v)
     assert s[0, 0] == pytest.approx(1.0)
@@ -100,30 +91,20 @@ def test_standardized_scores_two_magnitudes(rng):
 
 
 def test_lag_correlations_perfect_and_cancelling():
-    ds = panel(
-        [
-            (np.ones((3, 1)), [0.0, 0.0, 0.0]),
-            (np.ones((3, 1)), [0.0, 0.0, 0.0]),
-        ]
-    )
+    ds = panel(np.zeros(6), [3, 3])
     rho = estimate_lag_correlations(ds, np.full((2, 3), 0.7))
     assert np.allclose(rho, 0.99)  # perfect correlation, clamped
 
-    ds2 = panel(
-        [
-            (np.ones((2, 1)), [0.0, 0.0]),
-            (np.ones((2, 1)), [0.0, 0.0]),
-        ]
-    )
+    ds2 = panel(np.zeros(4), [2, 2])
     rho2 = estimate_lag_correlations(ds2, np.array([[1.0, 1.0], [1.0, -1.0]]))
     assert rho2[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_lag_correlations_errors():
-    ds = panel([(np.ones((1, 1)), [0.0]), (np.ones((1, 1)), [0.0])])
+    ds = panel(np.zeros(2), [1, 1])
     with pytest.raises(DataError):
         estimate_lag_correlations(ds, np.ones((2, 1)))
-    ds2 = panel([(np.ones((2, 1)), [0.0, 0.0])])
+    ds2 = panel(np.zeros(2), [2])
     with pytest.raises(DataError):
         estimate_lag_correlations(ds2, np.zeros((1, 2)))
     # flat per-observation scores are not the padded layout
@@ -144,7 +125,7 @@ def test_lag_correlations_pool_within_subject_pairs_of_an_unbalanced_panel(rng):
     # 1 to 12 occasions in shuffled order, so subject boundaries fall at every
     # flat position and a pair across two subjects would shift every lag
     lengths = rng.permutation(np.repeat(np.arange(1, 13), 4))
-    ds = panel([(np.ones((n, 1)), rng.standard_normal(n)) for n in lengths])
+    ds = panel(rng.standard_normal(lengths.sum()), lengths)
     scores = rng.standard_normal(ds.n_obs)
     blocks = [scores[ds.offsets[i] : ds.offsets[i + 1]] for i in range(ds.m)]
     den = sum(float(b @ b) for b in blocks) / ds.n_obs
@@ -166,12 +147,7 @@ def test_lag_correlations_pool_within_subject_pairs_of_an_unbalanced_panel(rng):
 def test_padded_moments_match_the_flat_row_oracle(seed, lengths, tau):
     # every panel has a singleton and a subject with two occasions
     rng = np.random.default_rng(seed)
-    ds = panel(
-        [
-            (np.column_stack([np.ones(n), rng.standard_normal(n)]), rng.standard_normal(n))
-            for n in [1, *lengths, 2]
-        ]
-    )
+    ds = ragged_dataset(rng, [1, *lengths, 2])
     beta = 0.5 * rng.standard_normal(2)
     R = padded_residual(ds, beta)
     variances = sigma_empirical(ds, R)
@@ -234,7 +210,7 @@ def test_regularize_correlation_paths():
 
 
 def test_assemble_working_covariance_values():
-    ds = panel([(np.ones((2, 1)), [0.0, 0.0])])
+    ds = panel(np.zeros(2), [2])
     v = ScoreVariances([0.25, 0.25])
     cov = assemble_working_covariance(v, build_stationary_correlation([0.5], 2), ds)
     assert np.allclose(subject_matrix(cov, ds, 0), [[0.25, 0.125], [0.125, 0.25]])
@@ -265,12 +241,7 @@ def test_assemble_working_covariance_solves(rng):
 
     # unbalanced panels (1 to 12 occasions), a correlation that needed
     # shrinking, lags at the clamp, and variances at the floor
-    ds = panel(
-        [
-            (np.column_stack([np.ones(n), rng.standard_normal(n)]), rng.standard_normal(n))
-            for n in rng.permutation(np.repeat(np.arange(1, 13), 3))
-        ]
-    )
+    ds = ragged_dataset(rng, rng.permutation(np.repeat(np.arange(1, 13), 3)))
     clamped = np.resize([0.99, -0.99, 0.99, 0.99, -0.99], 11)
     raw = build_stationary_correlation(clamped, 12)
     assert np.linalg.eigvalsh(raw).min() < 0

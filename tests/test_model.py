@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
-from wqreg import DataError, LongitudinalDataset, Subject
+from wqreg import DataError, LongitudinalDataset
 from wqreg.model import check_tau, score_psi, smoothed_score, smoothed_score_density
 
 from oracle import check_loss, check_objective
@@ -131,24 +133,10 @@ def test_check_objective_sums_losses():
     assert check_objective(X, y, beta, 0.5) == pytest.approx(expected)
 
 
-def test_subject_validation():
-    with pytest.raises(DataError):
-        Subject(id="a", covariates=[[1.0], [1.0]], responses=[1.0])
-    with pytest.raises(DataError):
-        Subject(id="a", covariates=[[np.inf]], responses=[1.0])
-    with pytest.raises(DataError):
-        Subject(id="a", covariates=np.empty((0, 1)), responses=[])
-    s = Subject(id="a", covariates=[[1.0, 2.0]], responses=[3.0])
-    assert s.n == 1 and s.covariates.shape == (1, 2)
-
-
 def test_dataset_shapes_and_grouping():
-    subs = [
-        Subject(id="a", covariates=[[1.0, 0.0], [1.0, 1.0]], responses=[1.0, 2.0]),
-        Subject(id="b", covariates=[[1.0, 2.0]], responses=[3.0]),
-        Subject(id="c", covariates=[[1.0, 3.0], [1.0, 4.0]], responses=[4.0, 5.0]),
-    ]
-    ds = LongitudinalDataset(subs)
+    X = [[1.0, 0.0], [1.0, 1.0], [1.0, 2.0], [1.0, 3.0], [1.0, 4.0]]
+    ds = LongitudinalDataset(X, [1.0, 2.0, 3.0, 4.0, 5.0], [2, 1, 2], ["a", "b", "c"])
+    assert ds.ids == ["a", "b", "c"] and list(ds.offsets) == [0, 2, 3, 5]
     assert (ds.m, ds.p, ds.n_obs, ds.max_n) == (3, 2, 5, 2)
     assert ds.X.shape == (5, 2) and ds.y.shape == (5,)
     assert np.array_equal(ds.mask, [[True, True], [True, False], [True, True]])
@@ -157,27 +145,14 @@ def test_dataset_shapes_and_grouping():
     assert ds.X_cols.shape == (2, 3, 2) and ds.X_cols.flags.c_contiguous
     assert np.array_equal(ds.X_cols[:, 1], [[1.0, 0.0], [2.0, 0.0]])
     assert np.array_equal(ds.X_cols[:, ds.mask].T, ds.X)
-    # the same panel from its stacked rows
-    rows = LongitudinalDataset.from_rows(ds.X, ds.y, [2, 1, 2], ["a", "b", "c"])
-    assert rows.ids == ds.ids == ["a", "b", "c"]
-    for name in ("X", "y", "lengths", "offsets", "mask", "X_cols"):
-        assert np.array_equal(getattr(rows, name), getattr(ds, name)), name
 
 
 def test_dataset_rejects_mixed_dimensions_and_empty():
-    with pytest.raises(DataError):
-        LongitudinalDataset([])
-    subs = [
-        Subject(id="a", covariates=[[1.0, 0.0]], responses=[1.0]),
-        Subject(id="b", covariates=[[1.0]], responses=[1.0]),
-    ]
-    with pytest.raises(DataError):
-        LongitudinalDataset(subs)
     X, y, ids = np.ones((5, 2)), np.arange(5.0), ["a", "b", "c"]
     with pytest.raises(DataError, match="at least one subject"):
-        LongitudinalDataset.from_rows(np.empty((0, 2)), [], [], [])
+        LongitudinalDataset(np.empty((0, 2)), [], [], [])
     with pytest.raises(DataError, match="subject 'b' has no observations"):
-        LongitudinalDataset.from_rows(X, y, [3, 0, 2], ids)
+        LongitudinalDataset(X, y, [3, 0, 2], ids)
     # rows that do not match the lengths, a 1-d design, too few ids
     for args in (
         (X, y, [2, 1, 1], ids),
@@ -187,10 +162,34 @@ def test_dataset_rejects_mixed_dimensions_and_empty():
         (X, y, [2, 1, 2], ids[:2]),
     ):
         with pytest.raises(DataError, match="do not match"):
-            LongitudinalDataset.from_rows(*args)
+            LongitudinalDataset(*args)
     # a non-finite value names the first subject that holds one
     for k, name in ((1, "a"), (2, "b"), (3, "c")):
         bad_X, bad_y = X.copy(), y.copy()
         bad_X[k, 1], bad_y[4] = np.inf, np.nan
         with pytest.raises(DataError, match=f"subject '{name}' contains non-finite values"):
-            LongitudinalDataset.from_rows(bad_X, bad_y, [2, 1, 2], ids)
+            LongitudinalDataset(bad_X, bad_y, [2, 1, 2], ids)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    lengths=st.lists(st.integers(1, 6), min_size=0, max_size=30),
+    p=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_padded_layout_matches_a_per_subject_recount(lengths, p, seed):
+    lengths = [*lengths, 1]  # every panel ends in a singleton
+    rng = np.random.default_rng(seed)
+    X, y = rng.standard_normal((sum(lengths), p)), rng.standard_normal(sum(lengths))
+    ds = LongitudinalDataset(X, y, lengths, [f"s{i}" for i in range(len(lengths))])
+    assert np.array_equal(ds.X_cols[:, ds.mask].T, X)
+    assert np.array_equal(ds.pad(y)[ds.mask], y)
+    positions = range(max(lengths))
+    assert list(ds.position_counts) == [sum(n > j for n in lengths) for j in positions]
+    assert list(ds.lag_pairs) == [sum(max(n - lag, 0) for n in lengths) for lag in positions]
+    # subject i holds the next lengths[i] rows, at the head of its padded row
+    start = 0
+    for i, n in enumerate(lengths):
+        assert (ds.offsets[i], ds.offsets[i + 1]) == (start, start + n)
+        assert np.array_equal(ds.X_cols[:, i, :n].T, X[start : start + n])
+        start += n

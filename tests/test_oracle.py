@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from wqreg import (
-    DataError,
-    LongitudinalDataset,
-    Subject,
-)
+from wqreg import DataError, LongitudinalDataset
 
 from conftest import scalar_dataset
 from oracle import (
@@ -43,11 +39,8 @@ def test_exact_fit_objective_consistent():
 
 
 def test_exact_fit_local_optimality_probe(rng):
-    subs = [
-        Subject(id=i, covariates=[[1.0, x]], responses=[y])
-        for i, (x, y) in enumerate(zip(rng.standard_normal(12), rng.standard_normal(12)))
-    ]
-    ds = LongitudinalDataset(subs)
+    X = np.column_stack([np.ones(12), rng.standard_normal(12)])
+    ds = LongitudinalDataset(X, rng.standard_normal(12), np.ones(12, dtype=int), range(12))
     res = exact_wi_fit(ds, 0.5)
     for _ in range(1000):
         delta = rng.standard_normal(2)
@@ -60,15 +53,11 @@ def test_exact_fit_guards():
     with pytest.raises(ValueError):
         exact_wi_fit(big, 0.5)
 
-    wide = LongitudinalDataset(
-        [Subject(id=0, covariates=[[1.0, 2.0, 3.0, 4.0]], responses=[1.0])]
-    )
+    wide = LongitudinalDataset([[1.0, 2.0, 3.0, 4.0]], [1.0], [1], [0])
     with pytest.raises(ValueError):
         exact_wi_fit(wide, 0.5)
 
-    degenerate = LongitudinalDataset(
-        [Subject(id=i, covariates=[[0.0]], responses=[1.0]) for i in range(3)]
-    )
+    degenerate = LongitudinalDataset(np.zeros((3, 1)), np.ones(3), [1, 1, 1], range(3))
     with pytest.raises(DataError):
         exact_wi_fit(degenerate, 0.5)
 

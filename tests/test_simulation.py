@@ -39,11 +39,17 @@ def test_sim_config_validation():
         SimConfig(beta_true=(1.0, 2.0))
     with pytest.raises(ValueError):
         SimConfig(taus=())
+    # a repeated tau would pool its copies' fits into one summary cell
+    with pytest.raises(ValueError, match="repeat"):
+        SimConfig(taus=(0.5, 0.25, 0.5))
     with pytest.raises(ValueError):
         SimConfig(methods=("WI", "XX"))
+    with pytest.raises(ValueError):
+        SimConfig(methods=())
     cfg = SimConfig(error_case="gaussian", methods=("wi", "pqr"))
     assert cfg.error_case == "normal"
     assert cfg.methods == ("WI", "PQR")
+    assert SimConfig(methods=("aqr", "WI", "AQR", "Wi")).methods == ("AQR", "WI")
 
 
 def test_ar1_covariance_values():
@@ -128,7 +134,6 @@ def test_package_surface_is_the_documented_one():
         "SchemaError",
         "SimConfig",
         "SolverError",
-        "Subject",
         "WqregError",
         "confidence_intervals",
         "fit",
@@ -173,10 +178,10 @@ def test_generate_dataset_draw_order_and_design():
     rng = np.random.default_rng(seq)
     x1 = (rng.random(4) < 0.5).astype(float)
     x2 = rng.standard_normal(4)
-    sub = subject_rows(ds)[0]
-    assert np.array_equal(sub.covariates[:, 1], x1)
-    assert np.allclose(sub.covariates[:, 2], x2)
-    eps = sub.responses - sub.covariates @ np.array(config.beta_true)
+    _, X_0, y_0 = next(subject_rows(ds))
+    assert np.array_equal(X_0[:, 1], x1)
+    assert np.allclose(X_0[:, 2], x2)
+    eps = y_0 - X_0 @ np.array(config.beta_true)
     z = np.linalg.cholesky(ar1_covariance(0.5, 4)) @ rng.standard_normal(4)
     assert np.allclose(eps, z - stats.norm.ppf(0.5), atol=1e-12)
 
@@ -187,14 +192,14 @@ def test_generate_dataset_draw_order_and_design():
         cfg = SimConfig(m=60, n=5, rho=0.7, error_case=case, taus=(0.25,),
                         replications=3, master_seed=55)
         ds = generate_dataset(cfg, 2, tau=0.95)
-        for i, sub in enumerate(subject_rows(ds)):
+        for i, (_, X_i, y_i) in enumerate(subject_rows(ds)):
             rng = np.random.default_rng(np.random.SeedSequence([55, 2, i]))
             x1 = (rng.random(5) < 0.5).astype(float)
             x2 = rng.standard_normal(5)
             X = np.column_stack([np.ones(5), x1, x2])
             eps = sample_errors(case, 0.7, 5, 0.95, rng)
-            assert np.array_equal(sub.covariates, X), (case, i)
-            assert np.array_equal(sub.responses, X @ beta + eps), (case, i)
+            assert np.array_equal(X_i, X), (case, i)
+            assert np.array_equal(y_i, X @ beta + eps), (case, i)
 
 
 def test_generate_dataset_centers_depend_on_tau():

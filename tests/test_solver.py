@@ -16,7 +16,6 @@ from wqreg import (
     LongitudinalDataset,
     SimConfig,
     SolverError,
-    Subject,
     WqregError,
     confidence_intervals,
     fit,
@@ -32,7 +31,7 @@ from wqreg.correlation import (
 )
 from wqreg.sparsity import identity_sparsity
 
-from conftest import random_dataset, scalar_dataset
+from conftest import ragged_dataset, random_dataset, scalar_dataset
 from oracle import (
     check_objective,
     exact_wi_fit,
@@ -82,35 +81,29 @@ def test_estimating_function_symmetric_cancellation():
 def test_estimating_function_matches_direct_formula(rng):
     from wqreg.model import smoothed_score_density
 
-    def subject(i, n):
-        X = np.column_stack([np.ones(n), rng.standard_normal(n)])
-        return Subject(id=i, covariates=X, responses=rng.standard_normal(n))
-
-    balanced = [subject(i, 2) for i in range(3)]
+    balanced = ragged_dataset(rng, [2, 2, 2])
     # 1 to 5 occasions in shuffled order scatter each group over the subject
     # indices, so every v_i must land in a row of its own
-    lengths = rng.permutation(np.repeat(np.arange(1, 6), 3))
-    unbalanced = [subject(i, n) for i, n in enumerate(lengths)]
+    unbalanced = ragged_dataset(rng, rng.permutation(np.repeat(np.arange(1, 6), 3)))
     # 1 to 12 occasions with singletons, lags at the clamp that force the
     # correlation shrinkage, and variances at the floor
-    ragged = [subject(i, n) for i, n in enumerate(rng.permutation(np.repeat(np.arange(1, 13), 2)))]
+    ragged = ragged_dataset(rng, rng.permutation(np.repeat(np.arange(1, 13), 2)))
     correlations = [
         np.array([[1.0, 0.4], [0.4, 1.0]]),
         build_stationary_correlation([0.5, 0.3, -0.2, 0.1], 5),
         build_stationary_correlation(np.resize([0.99, -0.99, 0.99, 0.99, -0.99], 11), 12),
     ]
     tau = 0.3
-    for subs, C in zip([balanced, unbalanced, ragged], correlations):
-        ds = LongitudinalDataset(subs)
+    for ds, C in zip([balanced, unbalanced, ragged], correlations):
         beta = rng.standard_normal(2)
         omega = np.diag(rng.uniform(0.5, 2.0, 2))
         state = SmoothingState.from_omega(ds, omega)
         gamma = rng.uniform(0.5, 2.0, ds.n_obs)
         variances = rng.uniform(0.1, 0.4, ds.max_n)
-        if subs is ragged:
+        if ds is ragged:
             variances[::3] = 0.0  # floored to SIGMA_MIN
         sigma = assemble_working_covariance(ScoreVariances(variances), C, ds)
-        assert np.array_equal(sigma.correlation, C) != (subs is ragged)
+        assert np.array_equal(sigma.correlation, C) != (ds is ragged)
 
         U = smoothed_estimating_function(ds, beta, state, gamma, sigma, tau)
         G = smoothed_jacobian(ds, beta, state, gamma, sigma, tau)
@@ -120,14 +113,13 @@ def test_estimating_function_matches_direct_formula(rng):
         U_ref = np.zeros(2)
         G_ref = np.zeros((2, 2))
         V_ref = np.zeros((2, 2))
-        for i, s in enumerate(subs):
+        for i, (_, Xi, yi) in enumerate(subject_rows(ds)):
             rows = slice(ds.offsets[i], ds.offsets[i + 1])
-            Xi = s.covariates
             ri = state.radii[rows]
             gi = np.diag(gamma[rows])
             sig_inv = np.linalg.inv(subject_matrix(sigma, ds, i))
-            psi = smoothed_score(s.responses - Xi @ beta, ri, tau)
-            lam = np.diag(smoothed_score_density(s.responses - Xi @ beta, ri))
+            psi = smoothed_score(yi - Xi @ beta, ri, tau)
+            lam = np.diag(smoothed_score_density(yi - Xi @ beta, ri))
             v = Xi.T @ gi @ sig_inv @ psi
             U_ref += v
             G_ref += Xi.T @ gi @ sig_inv @ lam @ Xi
@@ -135,7 +127,7 @@ def test_estimating_function_matches_direct_formula(rng):
         # at the variance floor Sigma^{-1} is of order 1 / SIGMA_MIN and V of
         # its square, so the ragged input is checked relative to its size
         for got, ref in ((U, U_ref), (G, G_ref), (V, V_ref)):
-            scale = np.max(np.abs(ref)) if subs is ragged else 1.0
+            scale = np.max(np.abs(ref)) if ds is ragged else 1.0
             assert np.max(np.abs(got - ref)) < 1e-12 * scale
 
 
@@ -194,7 +186,7 @@ def test_score_covariance_structure(rng):
     V = score_covariance(ds, np.array([2.0]), state, gamma, sigma, 0.5)
     assert np.allclose(V, 0.0, atol=1e-28)
 
-    one = LongitudinalDataset([Subject(id=0, covariates=[[1.0, 0.5]], responses=[1.3])])
+    one = LongitudinalDataset([[1.0, 0.5]], [1.3], [1], [0])
     gamma1, sigma1 = wi_weights(one)
     state1 = SmoothingState.from_omega(one, np.eye(2))
     V1 = score_covariance(one, np.zeros(2), state1, gamma1, sigma1, 0.5)
@@ -251,12 +243,12 @@ def test_fit_validates_inputs(rng):
     with pytest.raises(ValueError):
         fit(ds, 1.5, "WI")
 
-    tiny = LongitudinalDataset([Subject(id=0, covariates=[[1.0, 2.0]], responses=[1.0])])
+    tiny = LongitudinalDataset([[1.0, 2.0]], [1.0], [1], [0])
     with pytest.raises(DataError):
         fit(tiny, 0.5, "WI")
 
     collinear = LongitudinalDataset(
-        [Subject(id=i, covariates=[[1.0, 2.0]], responses=[float(i)]) for i in range(6)]
+        np.tile([1.0, 2.0], (6, 1)), np.arange(6.0), np.ones(6, dtype=int), range(6)
     )
     with pytest.raises(DataError):
         fit(collinear, 0.5, "WI")
@@ -359,41 +351,22 @@ def test_wi_equivariance(rng):
     base = fit(ds, 0.5, "WI")
 
     delta = np.array([0.7, -1.2])
-    shifted = LongitudinalDataset(
-        [
-            Subject(id=s.id, covariates=s.covariates, responses=s.responses + s.covariates @ delta)
-            for s in subject_rows(ds)
-        ]
-    )
+    shifted = LongitudinalDataset(ds.X, ds.y + ds.X @ delta, ds.lengths, ds.ids)
     res_shift = fit(shifted, 0.5, "WI")
     assert np.max(np.abs(res_shift.beta - (base.beta + delta))) < 1e-6
 
     c = 3.5
-    scaled = LongitudinalDataset(
-        [
-            Subject(id=s.id, covariates=s.covariates, responses=c * s.responses)
-            for s in subject_rows(ds)
-        ]
-    )
+    scaled = LongitudinalDataset(ds.X, c * ds.y, ds.lengths, ds.ids)
     res_scale = fit(scaled, 0.5, "WI")
     assert np.max(np.abs(res_scale.beta - c * base.beta)) < 1e-6 * c
 
     # 1 to 6 occasions with singletons, in shuffled order: y -> c y + X delta
     # moves beta to c beta + delta and scales the SEs by |c|
-    def subject(i, n):
-        X = np.column_stack([np.ones(n), rng.standard_normal(n)])
-        return Subject(id=i, covariates=X, responses=X @ [1.0, -0.5] + rng.standard_normal(n))
-
     lengths = rng.permutation(np.repeat(np.arange(1, 7), 8))
-    ragged = LongitudinalDataset([subject(i, n) for i, n in enumerate(lengths)])
+    ragged = ragged_dataset(rng, lengths, [1.0, -0.5])
     base = fit(ragged, 0.5, "WI")
     for c in (1e-3, -2.5, 1e3):
-        moved = LongitudinalDataset(
-            [
-                Subject(id=s.id, covariates=s.covariates, responses=c * s.responses + s.covariates @ delta)
-                for s in subject_rows(ragged)
-            ]
-        )
+        moved = LongitudinalDataset(ragged.X, c * ragged.y + ragged.X @ delta, ragged.lengths, ragged.ids)
         res = fit(moved, 0.5, "WI")
         scale = abs(c) * base.std_errors
         assert np.max(np.abs(res.beta - (c * base.beta + delta)) / scale) < 1e-9
@@ -468,12 +441,24 @@ def test_wi_se_close_to_asymptotic_median_variance():
     assert abs(np.median(ses) - target) <= 0.3 * target
 
 
-def test_fit_many_returns_requested_methods(rng):
+def test_fit_many_returns_requested_methods(rng, monkeypatch):
     ds = random_dataset(rng, 30, 3, 2)
     fits = fit_many(ds, 0.5, ["pqr", "wi"])
     assert set(fits) == {"PQR", "WI"}
     single = fit(ds, 0.5, "aqr")
     assert single.method == "AQR"
+    # a method named twice is fitted once; an empty list is an error, not {}
+    calls, weighted = [], solver_mod._fit_weighted
+
+    def counted(*args):
+        calls.append(args[2])
+        return weighted(*args)
+
+    monkeypatch.setattr(solver_mod, "_fit_weighted", counted)
+    fits = fit_many(ds, 0.5, ["PQR", "pqr", "PQR"])
+    assert list(fits) == ["PQR"] and calls == ["PQR"]
+    with pytest.raises(ValueError, match="non-empty"):
+        fit_many(ds, 0.5, [])
 
 
 def test_identity_gamma_mode(rng):
@@ -511,7 +496,7 @@ def test_converged_fits_are_verified_roots(lengths, seed, tau):
     N = sum(lengths)
     X = np.column_stack([np.ones(N), rng.standard_normal(N)])
     y = X @ [0.5, 1.0] + rng.standard_normal(N)
-    ds = LongitudinalDataset.from_rows(X, y, lengths, [str(i) for i in range(len(lengths))])
+    ds = LongitudinalDataset(X, y, lengths, [str(i) for i in range(len(lengths))])
     # divergent fits overflow Omega
     with np.errstate(over="ignore", invalid="ignore"):
         try:
@@ -541,7 +526,7 @@ def memo_case(name):
         lengths = rng.integers(1, 9, size=40) if name == "ragged" else np.ones(50, dtype=int)
         X = np.column_stack([np.ones(lengths.sum()), rng.standard_normal(lengths.sum())])
         y = X @ [0.5, 1.0] + rng.standard_normal(lengths.sum())
-        ds = LongitudinalDataset.from_rows(X, y, lengths, [str(i) for i in range(lengths.size)])
+        ds = LongitudinalDataset(X, y, lengths, [str(i) for i in range(lengths.size)])
     beta0 = solver_mod._check_loss_minimizer(ds.X, ds.y, tau)
     return ds, tau, beta0, solver_mod._gamma_for(ds, tau, "hk")
 

@@ -54,14 +54,9 @@ def test_hk_crossing_falls_back():
 
 def test_hk_partial_crossing_uses_median():
     # two covariate patterns: one valid denominator, one crossing
-    from wqreg import LongitudinalDataset, Subject
+    from wqreg import LongitudinalDataset
 
-    ds = LongitudinalDataset(
-        [
-            Subject(id=0, covariates=[[1.0, 0.0]], responses=[0.0]),
-            Subject(id=1, covariates=[[1.0, 1.0]], responses=[0.0]),
-        ]
-    )
+    ds = LongitudinalDataset([[1.0, 0.0], [1.0, 1.0]], [0.0, 0.0], [1, 1], [0, 1])
     h = 0.05
     w = estimate_sparsity_hk(ds, 0.5, h, np.array([0.0, 0.0]), np.array([2 * h, -2 * h]))
     assert w[0] == pytest.approx(1.0)
