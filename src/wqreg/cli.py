@@ -19,8 +19,8 @@ import numpy as np
 
 from .exceptions import DataError, SchemaError, SolverError, WqregError
 from .model import LongitudinalDataset, check_tau
-from .simulation import SimConfig, run_study
-from .solver import confidence_intervals, fit
+from .simulation import BETA_TRUE, ERROR_CASES, SimConfig, run_study
+from .solver import GAMMA_MODES, METHODS, confidence_intervals, fit
 
 try:
     _VERSION = version("wqreg")
@@ -232,6 +232,9 @@ def build_sim_configs(options: dict):
     merged.update({k: v for k, v in options.items() if v is not None})
     try:
         rhos = _parse_float_list(merged["rho"], "rho")
+        if len(set(rhos)) < len(rhos):
+            # each rho's study would be run and written twice
+            raise ValueError(f"rho list repeats a value: {rhos}")
         taus = _parse_float_list(merged["taus"], "taus")
         methods = [s for s in merged["methods"].split(",") if s.strip()]
         configs = [
@@ -285,7 +288,7 @@ def run_simulate_command(options: dict, out: str, precision: int = 6) -> ReportD
         "taus": ",".join(f"{t:g}" for t in configs[0].taus),
         "methods": ",".join(configs[0].methods),
         "seed": configs[0].master_seed,
-        "beta_true": ",".join(f"{b:g}" for b in configs[0].beta_true),
+        "beta_true": ",".join(f"{b:g}" for b in BETA_TRUE),
     }
     columns = [
         "case",
@@ -368,15 +371,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="product column col1:col2 (repeatable)",
     )
     fit_p.add_argument("--tau", default="0.5", help="comma-separated quantile levels")
-    fit_p.add_argument("--method", default="pqr", choices=["wi", "pqr", "aqr"])
-    fit_p.add_argument("--gamma", default="hk", choices=["hk", "identity"])
+    fit_p.add_argument("--method", default="pqr", choices=[m.lower() for m in METHODS])
+    fit_p.add_argument("--gamma", default="hk", choices=GAMMA_MODES)
     fit_p.add_argument("--no-intercept", action="store_true")
     fit_p.add_argument("--out", required=True, help="output report path")
     fit_p.add_argument("--precision", type=int, default=6, help="significant digits in output")
 
     sim_p = sub.add_parser("simulate", help="run a seeded simulation study")
     sim_p.add_argument("--config", help="key=value config file")
-    sim_p.add_argument("--case", choices=["normal", "chisq", "t"])
+    sim_p.add_argument("--case", choices=ERROR_CASES)
     sim_p.add_argument("--rho", help="comma-separated AR(1) parameters")
     sim_p.add_argument("--m", type=int, help="subjects per replication")
     sim_p.add_argument("--n", type=int, help="occasions per subject")

@@ -162,14 +162,13 @@ class WorkingCovariance:
 
     def __init__(self, variances: ScoreVariances, correlation: np.ndarray,
                  dataset: LongitudinalDataset):
-        self.variances = variances
-        self.correlation = np.asarray(correlation, dtype=float)
+        correlation = np.asarray(correlation, dtype=float)
         max_n = dataset.max_n
-        if self.correlation.shape != (max_n, max_n):
+        if correlation.shape != (max_n, max_n):
             raise ValueError("correlation matrix does not match the occasion count")
         sd = np.sqrt(variances.per_position[:max_n])
         # potrf zeroes the upper triangle and trtri leaves it alone
-        factor, info = lapack.dpotrf(sd[:, None] * self.correlation * sd[None, :], lower=1)
+        factor, info = lapack.dpotrf(sd[:, None] * correlation * sd[None, :], lower=1)
         if info == 0:
             self._l_inv, info = lapack.dtrtri(factor, lower=1)
         if info != 0:

@@ -26,14 +26,8 @@ __all__ = [
     "summarize",
 ]
 
-_CASE_ALIASES = {
-    "normal": "normal",
-    "gaussian": "normal",
-    "chisq": "chisq",
-    "chisq2": "chisq",
-    "t": "t",
-    "t3": "t",
-}
+ERROR_CASES = ("normal", "chisq", "t")
+BETA_TRUE = (-0.5, 0.5, 1.0)  # intercept, Bernoulli and normal covariate coefficients
 _Z95 = float(ndtri(0.975))
 
 
@@ -43,7 +37,6 @@ class SimConfig:
 
     m: int = 500
     n: int = 4
-    beta_true: tuple = (-0.5, 0.5, 1.0)
     rho: float = 0.5
     error_case: str = "normal"
     taus: tuple = (0.25, 0.5, 0.95)
@@ -60,11 +53,8 @@ class SimConfig:
             raise ValueError("replications must be at least 1")
         if not 0.0 <= self.rho < 1.0:
             raise ValueError("rho must lie in [0, 1)")
-        self.beta_true = tuple(float(b) for b in self.beta_true)
-        if len(self.beta_true) != 3:
-            raise ValueError("beta_true must have length 3")
-        case = _CASE_ALIASES.get(str(self.error_case).lower())
-        if case is None:
+        case = str(self.error_case).lower()
+        if case not in ERROR_CASES:
             raise ValueError(f"unknown error case {self.error_case!r}")
         self.error_case = case
         self.taus = tuple(check_tau(t) for t in self.taus)
@@ -183,7 +173,7 @@ def generate_dataset(
     """
     tau = check_tau(config.taus[0] if tau is None else tau)
     m, n = config.m, config.n
-    beta = np.asarray(config.beta_true)
+    beta = np.asarray(BETA_TRUE)
     L = np.linalg.cholesky(ar1_covariance(config.rho, n))
     X = np.ones((m, n, 3))
     z = np.empty((m, n))
@@ -219,7 +209,7 @@ def _fit_or_none(dataset, tau, method):
 
 def _replicate(config: SimConfig, replication: int):
     methods = _fit_method_order(config)
-    p = len(config.beta_true)
+    p = len(BETA_TRUE)
     records = []
     for tau in config.taus:
         dataset = generate_dataset(config, replication, tau)
@@ -254,7 +244,7 @@ def run_study(config: SimConfig, workers: int = 1) -> SimStudyReport:
     else:
         batches = [_replicate(config, r) for r in replications]
     records = [rec for batch in batches for rec in batch]
-    return summarize(records, np.asarray(config.beta_true))
+    return summarize(records, np.asarray(BETA_TRUE))
 
 
 def _cell_metrics(recs, beta_true, k):

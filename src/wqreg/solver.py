@@ -6,15 +6,17 @@ by all methods; WI, PQR and AQR differ only in the weights they feed in
 working covariance (one triangular product) and takes inner products with
 the whitened design A_i = L_i^{-1} Gamma_i X_i, formed once per (Gamma,
 Sigma); U~ = sum_i v_i and cov(U~) = sum_i v_i v_i' come from one pass.
-The weighted fits (PQR, AQR) run one Newton loop with a joint Omega
-update, in which one inverse of G~ serves its condition check, the Newton
-step and the sandwich. Sigma, its factor and A depend on beta only through
-the signs of the residuals, so the loop rebuilds them only for a sign
-pattern it has not just seen. A converged weighted fit ends with Newton
-steps at frozen weights, so that beta is a machine-precision root of the
-smoothed equation, and stays converged only when sup |U~| reaches
+One Omega update, ``_omega_update``, forms G~^{-1} (inflating Omega while
+G~ is singular), the terms v and the sandwich: WI repeats it at a fixed
+beta, and the weighted fits (PQR, AQR) run one Newton loop that steps with
+the same G~^{-1} and v. Sigma, its factor and A depend on beta only
+through the signs of the residuals, so the loop rebuilds them only for a
+sign pattern it has not just seen. A converged weighted fit ends with
+Newton steps at frozen weights, so that beta is a machine-precision root
+of the smoothed equation, and stays converged only when sup |U~| reaches
 ROOT_TOLERANCE there; both take the same halving line search. Each stage
-takes the residual and A its caller holds, down to the sandwich.
+takes the residual and A its caller holds, down to the final sandwich,
+which does not inflate Omega.
 
 The WI estimate itself is the exact minimizer of the check-loss objective,
 the Koenker-Bassett linear program. A Frisch-Newton interior point solves
@@ -188,33 +190,36 @@ def _weighted_sigma(dataset: LongitudinalDataset, r, tau: float, method: str):
 
 
 # ---------------------------------------------------------------------------
-# Newton loop with Omega update (PQR, AQR)
+# Omega update (WI, PQR, AQR) and Newton loop (PQR, AQR)
 # ---------------------------------------------------------------------------
 
 
-def _jacobian_with_inflation(dataset, r, state, A, sigma):
-    """Inverse Jacobian guarded against kernel underflow.
+def _omega_update(dataset, r, state, A, sigma, tau):
+    """One sandwich update of Omega at the residual r = y - X beta.
 
     When every residual sits far outside its smoothing radius the Gaussian
-    kernel underflows and G~ degenerates. Inflating Omega widens the radii
-    until the system is invertible again. The returned state carries the
-    radii G~ was formed at; the caller evaluates U~ and cov(U~) at the same
-    state, and its Omega update then overwrites the inflated value.
+    kernel underflows and G~ degenerates; Omega is then inflated tenfold,
+    widening the radii, until G~ is invertible (at most INFLATE_MAX times).
+    U~'s terms v and the sandwich are taken at the radii G~ was formed at.
+    Returns G~^{-1}, v, that state, the state at the new Omega, and the
+    relative Frobenius change of Omega against the state G~ was formed at.
     """
     for _ in range(INFLATE_MAX):
         try:
-            return _jacobian(dataset, r, state, A, sigma)[1], state
+            G_inv = _jacobian(dataset, r, state, A, sigma)[1]
+            break
         except SolverError:
             state = SmoothingState.from_omega(dataset, state.omega * 10.0)
-    raise SolverError("smoothed Jacobian stayed singular under radius inflation")
+    else:
+        raise SolverError("smoothed Jacobian stayed singular under radius inflation")
+    v = _score_terms(dataset, r, state, A, sigma, tau)
+    omega = _sandwich(G_inv, v)
+    change = float(np.linalg.norm(omega - state.omega) / max(np.linalg.norm(state.omega), 1e-300))
+    return G_inv, v, state, SmoothingState.from_omega(dataset, omega), change
 
 
 def _initial_state(dataset):
     return SmoothingState.from_omega(dataset, np.eye(dataset.p) / dataset.m)
-
-
-def _relative_change(new, old) -> float:
-    return float(np.linalg.norm(new - old) / max(np.linalg.norm(old), 1e-300))
 
 
 def _newton_step(dataset, beta, U, G_inv, state, A, sigma, tau):
@@ -259,14 +264,10 @@ def _newton_loop(dataset, tau, method, beta0, gamma):
         memo[key] = sigma, rho_hat, A
         if len(memo) > SIGN_MEMO_DEPTH:
             del memo[next(iter(memo))]
-        G_inv, state = _jacobian_with_inflation(dataset, r, state, A, sigma)
-        v = _score_terms(dataset, r, state, A, sigma, tau)
-        beta_new, _, r = _newton_step(dataset, beta, v.sum(axis=1), G_inv, state, A, sigma, tau)
-        omega_new = _sandwich(G_inv, v)
+        G_inv, v, at_G, state, delta_omega = _omega_update(dataset, r, state, A, sigma, tau)
+        beta_new, _, r = _newton_step(dataset, beta, v.sum(axis=1), G_inv, at_G, A, sigma, tau)
         delta_beta = float(np.max(np.abs(beta_new - beta)))
-        delta_omega = _relative_change(omega_new, state.omega)
         beta = beta_new
-        state = SmoothingState.from_omega(dataset, omega_new)
         if delta_beta < BETA_TOLERANCE and delta_omega < OMEGA_TOLERANCE:
             converged = True
             break
@@ -467,13 +468,11 @@ def _fit_wi(dataset: LongitudinalDataset, tau: float, beta: np.ndarray) -> FitRe
     r = dataset.y - dataset.X @ beta
     state = _initial_state(dataset)
     for it in range(MAX_OUTER_ITERATIONS):
-        G_inv, state = _jacobian_with_inflation(dataset, r, state, A, sigma)
-        omega = _sandwich(G_inv, _score_terms(dataset, r, state, A, sigma, tau))
-        converged = _relative_change(omega, state.omega) < OMEGA_TOLERANCE
-        state = SmoothingState.from_omega(dataset, omega)
+        state, change = _omega_update(dataset, r, state, A, sigma, tau)[3:]
+        converged = change < OMEGA_TOLERANCE
         if converged:
             break
-    return _fit_result(dataset, tau, "WI", beta, omega, np.empty(0), it + 1, converged)
+    return _fit_result(dataset, tau, "WI", beta, state.omega, np.empty(0), it + 1, converged)
 
 
 def _fit_weighted(dataset, tau, method, beta0, gamma) -> FitResult:
@@ -485,7 +484,7 @@ def _fit_weighted(dataset, tau, method, beta0, gamma) -> FitResult:
     if converged:
         beta, r, root_norm = _refine_root(dataset, beta, r, A, state, sigma, tau)
         converged = root_norm <= ROOT_TOLERANCE
-    try:
+    try:  # not _omega_update: a singular G~ here gives NaN SEs, not an inflated Omega
         G_inv = _jacobian(dataset, r, state, A, sigma)[1]
         omega = _sandwich(G_inv, _score_terms(dataset, r, state, A, sigma, tau))
     except SolverError:

@@ -66,12 +66,12 @@ def check_objective(X: np.ndarray, y: np.ndarray, beta: np.ndarray, tau: float) 
     return float(check_loss(y - X @ beta, tau).sum())
 
 
-def subject_matrix(cov, dataset: LongitudinalDataset, i: int) -> np.ndarray:
-    """Dense Sigma_i of subject index i, rebuilt from the variances and the
-    correlation a WorkingCovariance holds."""
+def subject_matrix(variances, correlation, dataset: LongitudinalDataset, i: int) -> np.ndarray:
+    """Dense Sigma_i = A_i^{1/2} C_i A_i^{1/2} of subject index i, built from
+    ScoreVariances and the correlation matrix a working covariance was given."""
     n = int(dataset.lengths[i])
-    sd = np.sqrt(cov.variances.per_position[:n])
-    return sd[:, None] * cov.correlation[:n, :n] * sd[None, :]
+    sd = np.sqrt(variances.per_position[:n])
+    return sd[:, None] * np.asarray(correlation)[:n, :n] * sd[None, :]
 
 
 def subject_rows(dataset: LongitudinalDataset):
@@ -120,14 +120,10 @@ def newton_loop_reference(dataset, tau, method, beta0, gamma):
         r = residual(dataset, beta)
         sigma, rho_hat = solver._weighted_sigma(dataset, r, tau, method)
         A = solver._design(dataset, gamma, sigma)
-        G_inv, state = solver._jacobian_with_inflation(dataset, r, state, A, sigma)
-        v = solver._score_terms(dataset, r, state, A, sigma, tau)
-        beta_new = solver._newton_step(dataset, beta, v.sum(axis=1), G_inv, state, A, sigma, tau)[0]
-        omega_new = solver._sandwich(G_inv, v)
+        G_inv, v, at_G, state, delta_omega = solver._omega_update(dataset, r, state, A, sigma, tau)
+        beta_new = solver._newton_step(dataset, beta, v.sum(axis=1), G_inv, at_G, A, sigma, tau)[0]
         delta_beta = float(np.max(np.abs(beta_new - beta)))
-        delta_omega = solver._relative_change(omega_new, state.omega)
         beta = beta_new
-        state = solver.SmoothingState.from_omega(dataset, omega_new)
         if delta_beta < solver.BETA_TOLERANCE and delta_omega < solver.OMEGA_TOLERANCE:
             converged = True
             break
@@ -161,8 +157,8 @@ def sample_errors(case: str, rho: float, n: int, tau: float, rng: np.random.Gene
     chisq:  Gaussian copula with chi-square(2) marginals.
     t:      AR(1) Gaussian over sqrt(W/3), one chi-square(3) W per subject.
     """
-    canonical = simulation._CASE_ALIASES.get(str(case).lower())
-    if canonical is None:
+    canonical = str(case).lower()
+    if canonical not in simulation.ERROR_CASES:
         raise ValueError(f"unknown error case {case!r}")
     tau = check_tau(tau)
     L = np.linalg.cholesky(simulation.ar1_covariance(rho, n))

@@ -308,6 +308,24 @@ def test_build_sim_configs_defaults():
         build_sim_configs({"taus": "0.5,0.5"})
 
 
+def test_repeated_rho_is_schema_error_before_any_study(tmp_path, monkeypatch, capsys):
+    # a repeated rho would run its study twice and write every row twice
+    def no_study(config):
+        raise AssertionError("a study ran")
+
+    monkeypatch.setattr(cli, "run_study", no_study)
+    out = tmp_path / "r.csv"
+    args = ["simulate", "--m", "20", "--n", "3", "--reps", "2", "--taus", "0.5",
+            "--methods", "wi", "--out", str(out)]
+    assert main(args + ["--rho", "0.5,0.5"]) == 2
+    assert "error: rho list repeats a value" in capsys.readouterr().err
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("rho = 0.5,0.2,0.50\n")
+    assert main(args + ["--config", str(cfg)]) == 2
+    assert "error: rho list repeats a value" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_cli_is_byte_identical_between_runs(tmp_path, capsys):
     args = [
         "simulate", "--case", "normal", "--rho", "0.3", "--m", "25", "--n", "3",

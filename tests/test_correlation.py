@@ -17,7 +17,7 @@ from wqreg.correlation import (
     sigma_empirical,
     standardized_scores,
 )
-from wqreg.simulation import generate_dataset
+from wqreg.simulation import BETA_TRUE, generate_dataset
 
 from conftest import ragged_dataset, random_dataset
 from oracle import (
@@ -66,7 +66,7 @@ def test_sigma_empirical_floor_engaged():
 def test_sigma_empirical_consistent_at_truth():
     config = SimConfig(m=5000, n=4, rho=0.5, error_case="normal", taus=(0.5,), replications=1, master_seed=77)
     ds = generate_dataset(config, 0)
-    v = sigma_empirical(ds, padded_residual(ds, np.array(config.beta_true)))
+    v = sigma_empirical(ds, padded_residual(ds, np.array(BETA_TRUE)))
     assert np.all(np.abs(v.per_position - 0.25) < 0.02)
 
 
@@ -163,7 +163,7 @@ def test_lag_correlations_recover_indicator_correlation():
     config = SimConfig(m=5000, n=4, rho=0.9, error_case="normal", taus=(0.5,), replications=1, master_seed=5)
     ds = generate_dataset(config, 0)
     v = ScoreVariances(np.full(4, sigma_constant(0.5)))
-    scores = standardized_scores(ds, padded_residual(ds, np.array(config.beta_true)), 0.5, v)
+    scores = standardized_scores(ds, padded_residual(ds, np.array(BETA_TRUE)), 0.5, v)
     rho = estimate_lag_correlations(ds, scores)
     assert abs(rho[0] - indicator_correlation_oracle(0.9)) < 0.02
 
@@ -209,25 +209,31 @@ def test_regularize_correlation_paths():
     assert np.allclose(np.diag(fixed), 1.0)
 
 
+def whitened_sigma(cov, n):
+    """Sigma of a one-subject panel with n occasions, recovered from its
+    whitening: the whitened unit vectors are the columns of L^{-1}, and
+    Sigma^{-1} = L^{-T} L^{-1}."""
+    W = cov.whiten(np.eye(n)[:, None, :])[:, 0, :]
+    return np.linalg.inv(W @ W.T)
+
+
 def test_assemble_working_covariance_values():
     ds = panel(np.zeros(2), [2])
     v = ScoreVariances([0.25, 0.25])
     cov = assemble_working_covariance(v, build_stationary_correlation([0.5], 2), ds)
-    assert np.allclose(subject_matrix(cov, ds, 0), [[0.25, 0.125], [0.125, 0.25]])
+    assert np.allclose(whitened_sigma(cov, 2), [[0.25, 0.125], [0.125, 0.25]])
 
     # WI special case: C = I, sigma = tau(1-tau)
     cov_wi = assemble_working_covariance(ScoreVariances([0.25, 0.25]), np.eye(2), ds)
-    assert np.allclose(subject_matrix(cov_wi, ds, 0), 0.25 * np.eye(2))
+    assert np.allclose(whitened_sigma(cov_wi, 2), 0.25 * np.eye(2))
 
 
 def test_assemble_working_covariance_solves(rng):
     ds = random_dataset(rng, 10, 4, 2)
     v = ScoreVariances(rng.uniform(0.05, 0.4, 4))
-    rho = np.array([0.5, 0.3, 0.2])
-    cov = assemble_working_covariance(v, build_stationary_correlation(rho, 4), ds)
-    sigma = subject_matrix(cov, ds, 0)
-    assert np.max(np.abs(sigma - sigma.T)) <= 1e-12
-    assert np.allclose(np.diag(sigma), v.per_position, atol=1e-12)
+    C = build_stationary_correlation(np.array([0.5, 0.3, 0.2]), 4)
+    cov = assemble_working_covariance(v, C, ds)
+    sigma = subject_matrix(v, C, ds, 0)
 
     # (L_i^{-1} u)'(L_i^{-1} w) = u' Sigma_i^{-1} w for vectors and for
     # the (p, m, max_n) column layout of blocks
@@ -255,8 +261,9 @@ def test_assemble_working_covariance_solves(rng):
     for variances, lags, shrinks in cases:
         C = build_stationary_correlation(lags, 12)
         cov = assemble_working_covariance(variances, C, ds)
-        # a PD correlation is used as passed in: the shrinkage did not run
-        assert np.array_equal(cov.correlation, C) != shrinks
+        # a PD correlation is used as passed in, an indefinite one shrunk
+        if shrinks:
+            C = regularize_correlation(C)
         vec = ds.pad(rng.standard_normal(ds.n_obs))
         blocks = ds.pad(rng.standard_normal((ds.n_obs, 3))).transpose(2, 0, 1)
         got = cov.whiten(vec)
@@ -266,9 +273,8 @@ def test_assemble_working_covariance_solves(rng):
         assert np.all(got[~ds.mask] == 0.0) and np.all(got_b[:, ~ds.mask] == 0.0)
         assert np.array_equal(cov.whiten(vec + rng.standard_normal(vec.shape) * ~ds.mask), got)
         for i, n in enumerate(ds.lengths):
-            sigma = subject_matrix(cov, ds, i)
+            sigma = subject_matrix(variances, C, ds, i)
             want = vec[i, :n] @ np.linalg.solve(sigma, vec[i, :n])
             assert abs(got[i] @ got[i] - want) <= 1e-8 * abs(want), n
             want_b = blocks[:, i, :n] @ np.linalg.solve(sigma, vec[i, :n])
             assert np.max(np.abs(got_b[:, i] @ got[i] - want_b)) <= 1e-8 * np.max(np.abs(want_b)), n
-    assert not np.array_equal(cov.correlation, raw)  # the shrinkage fired

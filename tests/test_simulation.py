@@ -14,6 +14,7 @@ from scipy.special import ndtr
 import wqreg
 from wqreg import SimConfig, SolverError, fit, run_study
 from wqreg.simulation import (
+    BETA_TRUE,
     ReplicationRecord,
     SimStudyReport,
     _marginal_errors,
@@ -36,8 +37,6 @@ def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(error_case="cauchy")
     with pytest.raises(ValueError):
-        SimConfig(beta_true=(1.0, 2.0))
-    with pytest.raises(ValueError):
         SimConfig(taus=())
     # a repeated tau would pool its copies' fits into one summary cell
     with pytest.raises(ValueError, match="repeat"):
@@ -46,7 +45,10 @@ def test_sim_config_validation():
         SimConfig(methods=("WI", "XX"))
     with pytest.raises(ValueError):
         SimConfig(methods=())
-    cfg = SimConfig(error_case="gaussian", methods=("wi", "pqr"))
+    # each error case has one name, matched without regard to case
+    with pytest.raises(ValueError):
+        SimConfig(error_case="gaussian")
+    cfg = SimConfig(error_case="Normal", methods=("wi", "pqr"))
     assert cfg.error_case == "normal"
     assert cfg.methods == ("WI", "PQR")
     assert SimConfig(methods=("aqr", "WI", "AQR", "Wi")).methods == ("AQR", "WI")
@@ -181,13 +183,13 @@ def test_generate_dataset_draw_order_and_design():
     _, X_0, y_0 = next(subject_rows(ds))
     assert np.array_equal(X_0[:, 1], x1)
     assert np.allclose(X_0[:, 2], x2)
-    eps = y_0 - X_0 @ np.array(config.beta_true)
+    eps = y_0 - X_0 @ np.array(BETA_TRUE)
     z = np.linalg.cholesky(ar1_covariance(0.5, 4)) @ rng.standard_normal(4)
     assert np.allclose(eps, z - stats.norm.ppf(0.5), atol=1e-12)
 
     # the stream contract, bit for bit: every subject of every error case
     # replays as x1, x2, then sample_errors on the rest of its stream
-    beta = np.array(config.beta_true)
+    beta = np.array(BETA_TRUE)
     for case in ("normal", "chisq", "t"):
         cfg = SimConfig(m=60, n=5, rho=0.7, error_case=case, taus=(0.25,),
                         replications=3, master_seed=55)

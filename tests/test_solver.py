@@ -28,6 +28,7 @@ from wqreg.correlation import (
     ScoreVariances,
     assemble_working_covariance,
     build_stationary_correlation,
+    regularize_correlation,
 )
 from wqreg.sparsity import identity_sparsity
 
@@ -102,8 +103,12 @@ def test_estimating_function_matches_direct_formula(rng):
         variances = rng.uniform(0.1, 0.4, ds.max_n)
         if ds is ragged:
             variances[::3] = 0.0  # floored to SIGMA_MIN
-        sigma = assemble_working_covariance(ScoreVariances(variances), C, ds)
-        assert np.array_equal(sigma.correlation, C) != (ds is ragged)
+        variances = ScoreVariances(variances)
+        sigma = assemble_working_covariance(variances, C, ds)
+        if ds is ragged:
+            # the clamped lags make C indefinite: Sigma must use the shrunk C
+            assert np.linalg.eigvalsh(C).min() < 0
+            C = regularize_correlation(C)
 
         U = smoothed_estimating_function(ds, beta, state, gamma, sigma, tau)
         G = smoothed_jacobian(ds, beta, state, gamma, sigma, tau)
@@ -117,7 +122,7 @@ def test_estimating_function_matches_direct_formula(rng):
             rows = slice(ds.offsets[i], ds.offsets[i + 1])
             ri = state.radii[rows]
             gi = np.diag(gamma[rows])
-            sig_inv = np.linalg.inv(subject_matrix(sigma, ds, i))
+            sig_inv = np.linalg.inv(subject_matrix(variances, C, ds, i))
             psi = smoothed_score(yi - Xi @ beta, ri, tau)
             lam = np.diag(smoothed_score_density(yi - Xi @ beta, ri))
             v = Xi.T @ gi @ sig_inv @ psi
@@ -212,6 +217,47 @@ def test_sandwich_matches_explicit_inverse(rng):
     V = score_covariance(ds, beta, state, gamma, sigma, 0.5)
     ref = np.linalg.inv(G) @ V @ np.linalg.inv(G).T
     assert np.max(np.abs(omega - ref)) < 1e-12
+
+
+def test_omega_update_inflates_a_singular_jacobian(rng, monkeypatch):
+    # a tiny Omega puts residuals off zero far outside their radii: the
+    # kernel underflows and G~ is singular until Omega is inflated tenfold
+    ds = random_dataset(rng, 20, 3, 2)
+    gamma, sigma = wi_weights(ds, 0.3)
+    A = solver_mod._design(ds, gamma, sigma)
+    r = rng.choice([-1.0, 1.0], ds.n_obs) * rng.uniform(0.5, 2.0, ds.n_obs)
+    state = SmoothingState.from_omega(ds, 1e-30 * np.eye(2))
+    omega, k = state.omega, 0
+    while True:
+        try:
+            G_inv = solver_mod._jacobian(ds, r, SmoothingState.from_omega(ds, omega), A, sigma)[1]
+            break
+        except SolverError:
+            omega, k = omega * 10.0, k + 1
+    assert 1 <= k < solver_mod.INFLATE_MAX
+
+    got_G_inv, v, at_G, nxt, change = solver_mod._omega_update(ds, r, state, A, sigma, 0.3)
+    assert np.array_equal(at_G.omega, omega) and np.array_equal(got_G_inv, G_inv)
+    # v and the sandwich are taken at the inflated radii, and the change of
+    # Omega is measured against the inflated Omega
+    inflated = SmoothingState.from_omega(ds, omega)
+    want_v = solver_mod._score_terms(ds, r, inflated, A, sigma, 0.3)
+    assert np.array_equal(at_G.radii, inflated.radii)
+    assert np.array_equal(v, want_v)
+    assert np.array_equal(nxt.omega, solver_mod._sandwich(G_inv, want_v))
+    assert change == np.linalg.norm(nxt.omega - omega) / np.linalg.norm(omega)
+
+    tried = []
+
+    def singular(dataset, r, state, A, sigma):
+        tried.append(state.omega)
+        raise SolverError("smoothed Jacobian is numerically singular")
+
+    monkeypatch.setattr(solver_mod, "_jacobian", singular)
+    with pytest.raises(SolverError, match="inflation"):
+        solver_mod._omega_update(ds, r, state, A, sigma, 0.3)
+    assert len(tried) == solver_mod.INFLATE_MAX
+    assert tried[0] is state.omega
 
 
 def test_confidence_intervals():
@@ -412,7 +458,7 @@ def test_smoothing_equivalence_on_fixed_dataset(rng):
     for i in range(ds.m):
         rows = slice(ds.offsets[i], ds.offsets[i + 1])
         psi = score_psi(ds.y[rows] - ds.X[rows] @ beta, tau)
-        hard += ds.X[rows].T @ np.linalg.solve(subject_matrix(sigma, ds, i), psi)
+        hard += ds.X[rows].T @ psi / (tau * (1 - tau))  # Sigma_i = tau (1 - tau) I
     gaps = []
     for c in (1e-2, 1e-4, 1e-6):
         state = SmoothingState.from_omega(ds, c * np.eye(2))
@@ -544,7 +590,7 @@ def test_newton_loop_memo_equals_rebuilding_sigma_every_iterate(halvings, case, 
         got = solver_mod._newton_loop(ds, tau, method, beta0, gamma)
         want = newton_loop_reference(ds, tau, method, beta0, gamma)
     pairs = [(got[0], want[0]), (got[1].omega, want[1].omega), (got[3], want[3]),
-             (got[2].correlation, want[2].correlation), (got[4], want[4]), (got[5], want[5]),
+             (got[2]._l_inv, want[2]._l_inv), (got[4], want[4]), (got[5], want[5]),
              (got[6], want[6]), (got[7], want[7])]
     for a, b in pairs:
         assert np.array_equal(a, b, equal_nan=True)
