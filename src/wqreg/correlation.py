@@ -6,7 +6,8 @@ from column and Gram sums of the residuals and scores in the dataset's
 padded (m, max_n) layout, zero in the padding. Every Sigma_i is
 a leading block of the full Sigma, so the working covariance factors the
 full Sigma once per update, and one triangular product with the inverse
-factor whitens every subject's values at once.
+factor whitens every subject's values at once; a second applies every
+Sigma_i^{-1}.
 """
 
 from __future__ import annotations
@@ -155,9 +156,12 @@ class WorkingCovariance:
     not PD), L_n^{-1} is the leading block of L^{-1}. ``whiten`` applies
     every subject's L_i^{-1} by one product with L^{-1}, which is exactly
     lower triangular: the padding of an input never reaches a valid row of
-    the output, and the padding of the output is zeroed. Sigma has one row
-    per occasion and a regularised correlation, so the explicit inverse
-    loses no accuracy that matters, and no LAPACK call runs per evaluation.
+    the output, and the padding of the output is zeroed. ``solve`` applies
+    Sigma_i^{-1} by a second product, with L^{-T}: it is upper triangular,
+    so on the zeroed padding it applies each L_i^{-T}, although Sigma_i^{-1}
+    is not a block of Sigma^{-1}. Sigma has one row per occasion and a
+    regularised correlation, so the explicit inverse loses no accuracy that
+    matters, and no LAPACK call runs per evaluation.
     """
 
     def __init__(self, variances: ScoreVariances, correlation: np.ndarray,
@@ -179,6 +183,12 @@ class WorkingCovariance:
         """L_i^{-1} v_i for padded (..., m, max_n) values, zero in the padding."""
         flat = values.reshape(-1, values.shape[-1])
         return (flat @ self._l_inv.T).reshape(values.shape) * self._mask
+
+    def solve(self, values: np.ndarray) -> np.ndarray:
+        """Sigma_i^{-1} v_i = L_i^{-T} L_i^{-1} v_i for padded (..., m, max_n)
+        values, zero in the padding."""
+        flat = self.whiten(values).reshape(-1, values.shape[-1])
+        return (flat @ self._l_inv).reshape(values.shape) * self._mask
 
 
 def assemble_working_covariance(

@@ -2,33 +2,39 @@
 
 The estimating function, its Jacobian and the score covariance are shared
 by all methods; WI, PQR and AQR differ only in the weights they feed in
-(Gamma, C, sigma). Each kernel whitens per-observation values with the
-working covariance (one triangular product) and takes inner products with
-the whitened design A_i = L_i^{-1} Gamma_i X_i, formed once per (Gamma,
-Sigma); U~ = sum_i v_i and cov(U~) = sum_i v_i v_i' come from one pass.
-One Omega update, ``_omega_update``, forms G~^{-1} (inflating Omega while
-G~ is singular), the terms v and the sandwich: WI repeats it at a fixed
-beta, and the weighted fits (PQR, AQR) run one Newton loop that steps with
-the same G~^{-1} and v. Sigma, its factor and A depend on beta only
-through the signs of the residuals, so the loop rebuilds them only for a
-sign pattern it has not just seen. A converged weighted fit ends with
-Newton steps at frozen weights, so that beta is a machine-precision root
-of the smoothed equation, and stays converged only when sup |U~| reaches
-ROOT_TOLERANCE there; both take the same halving line search. Each stage
-takes the residual and A its caller holds, down to the final sandwich,
-which does not inflate Omega.
+(Gamma, C, sigma). Once per (Gamma, Sigma) the kernels form K, the rows of
+K_i = Sigma_i^{-1} Gamma_i X_i in stacked order, by two triangular products
+with the working covariance's inverse factor. Then U~ = K' psi~ is one
+product, G~ = (Lambda~ K)' X another, and the per-subject terms v_i = K_i'
+psi~_i, whose outer products sum to cov(U~), are segment sums over the
+subjects' rows. One Omega update, ``_omega_update``, forms G~^{-1}
+(inflating Omega while G~ is singular), the terms v and the sandwich: WI
+repeats it at a fixed beta, and the weighted fits (PQR, AQR) run one
+Newton loop that steps with the same G~^{-1} and v. Sigma, its factor and
+K depend on beta only through the signs of the residuals, so the loop
+rebuilds them only for a sign pattern it has not just seen. A converged
+weighted fit ends with Newton steps at frozen weights, so that beta is a
+machine-precision root of the smoothed equation, and stays converged only
+when sup |U~| reaches ROOT_TOLERANCE there; both take the same halving
+line search. Each stage takes the residual and K its caller holds, down to
+the final sandwich, which does not inflate Omega.
 
 The WI estimate itself is the exact minimizer of the check-loss objective,
 the Koenker-Bassett linear program. A Frisch-Newton interior point solves
-its dual, and the vertex it points at is checked exactly: when the check
-certifies it as the unique minimizer, it is the estimate. Otherwise (ties,
-degenerate vertices, a singular basis) HiGHS solves the dual LP; where the
-minimizer is not unique the optimal set is a face of the LP, and the fit
+its dual, and what it points at is checked exactly: a vertex, when the
+check certifies it as the unique minimizer, or else the midpoint of an
+optimal edge, when its p - 1 innermost rows, a dual solution on them and a
+ratio test over the other rows certify that edge. Otherwise (faces of
+dimension 2 or more, degenerate vertices and edges, a singular basis)
+HiGHS solves the dual LP, and where the optimal set is a face the fit
 returns the mean of the face's extreme points along each orthonormal
-direction in which it is flat, on an edge its midpoint. The WI standard
-errors come from the fixed point Omega = sandwich(beta, radii(Omega)) at
-that fixed beta. The Hendricks-Koenker weights of PQR and AQR use the exact
-minimizers at tau +/- h.
+direction in which it is flat. The WI standard errors come from the fixed
+point Omega = sandwich(beta, radii(Omega)) at that fixed beta. The
+Hendricks-Koenker weights of PQR and AQR use the exact minimizers at
+tau +/- h. Their LPs start from the fit at tau: the interior point first
+runs on the rows whose residual ranks lie within h of the target level,
+with the rows above them fixed at their upper bound, and the certificate
+is checked on all rows; only when it fails does the full LP run.
 
 The iteration cap and the two convergence tolerances are module constants:
 implementation choices, not part of the estimator. The one setting is
@@ -123,15 +129,22 @@ def _radii(X: np.ndarray, omega: np.ndarray) -> np.ndarray:
 
 
 def _design(dataset, gamma, sigma) -> np.ndarray:
-    """Whitened design A_i = L_i^{-1} Gamma_i X_i, (p, m, max_n); gamma holds
-    the diagonals of the Gamma_i, one entry per stacked row."""
-    return sigma.whiten(dataset.pad(gamma) * dataset.X_cols)
+    """K, the rows of the K_i = Sigma_i^{-1} Gamma_i X_i in stacked order,
+    (n_obs, p); gamma holds the diagonals of the Gamma_i, one entry per
+    stacked row."""
+    return np.ascontiguousarray(sigma.solve(dataset.pad(gamma) * dataset.X_cols)[:, dataset.mask].T)
 
 
-def _score_terms(dataset, r, state, A, sigma, tau) -> np.ndarray:
-    """Per-subject v_i = A_i' L_i^{-1} psi~(r_i), one column each; r = y - X beta."""
+def _score(r, state, K, tau) -> np.ndarray:
+    """U~ = sum_i K_i' psi~(r_i) = K' psi~(r); r = y - X beta."""
+    return smoothed_score(r, state.radii, tau) @ K
+
+
+def _score_terms(dataset, r, state, K, tau) -> np.ndarray:
+    """Per-subject v_i = K_i' psi~(r_i), one column each: segment sums of
+    the rows of K psi~(r) over the subjects; r = y - X beta."""
     psi = smoothed_score(r, state.radii, tau)
-    return (A * sigma.whiten(dataset.pad(psi))) @ np.ones(dataset.max_n)
+    return np.add.reduceat(K * psi[:, None], dataset.offsets[:-1], axis=0).T
 
 
 def _inverse(G: np.ndarray) -> np.ndarray:
@@ -146,11 +159,10 @@ def _inverse(G: np.ndarray) -> np.ndarray:
     raise SolverError("smoothed Jacobian is numerically singular")
 
 
-def _jacobian(dataset, r, state, A, sigma):
-    """G~ = sum_i A_i' L_i^{-1} Lambda~_i(r_i) X_i and its inverse; r = y - X beta."""
-    lam = smoothed_score_density(r, state.radii)
-    B = sigma.whiten(dataset.pad(lam) * dataset.X_cols)
-    G = A.reshape(dataset.p, -1) @ B.reshape(dataset.p, -1).T
+def _jacobian(dataset, r, state, K):
+    """G~ = sum_i K_i' Lambda~_i(r_i) X_i = (K Lambda~(r))' X and its inverse;
+    r = y - X beta."""
+    G = (K * smoothed_score_density(r, state.radii)[:, None]).T @ dataset.X
     return G, _inverse(G)
 
 
@@ -194,7 +206,7 @@ def _weighted_sigma(dataset: LongitudinalDataset, r, tau: float, method: str):
 # ---------------------------------------------------------------------------
 
 
-def _omega_update(dataset, r, state, A, sigma, tau):
+def _omega_update(dataset, r, state, K, tau):
     """One sandwich update of Omega at the residual r = y - X beta.
 
     When every residual sits far outside its smoothing radius the Gaussian
@@ -206,13 +218,13 @@ def _omega_update(dataset, r, state, A, sigma, tau):
     """
     for _ in range(INFLATE_MAX):
         try:
-            G_inv = _jacobian(dataset, r, state, A, sigma)[1]
+            G_inv = _jacobian(dataset, r, state, K)[1]
             break
         except SolverError:
             state = SmoothingState.from_omega(dataset, state.omega * 10.0)
     else:
         raise SolverError("smoothed Jacobian stayed singular under radius inflation")
-    v = _score_terms(dataset, r, state, A, sigma, tau)
+    v = _score_terms(dataset, r, state, K, tau)
     omega = _sandwich(G_inv, v)
     change = float(np.linalg.norm(omega - state.omega) / max(np.linalg.norm(state.omega), 1e-300))
     return G_inv, v, state, SmoothingState.from_omega(dataset, omega), change
@@ -222,7 +234,7 @@ def _initial_state(dataset):
     return SmoothingState.from_omega(dataset, np.eye(dataset.p) / dataset.m)
 
 
-def _newton_step(dataset, beta, U, G_inv, state, A, sigma, tau):
+def _newton_step(dataset, beta, U, G_inv, state, K, tau):
     """Newton step for U~ = 0 from beta, halved until |U~| falls.
 
     Returns the accepted beta with U~ and the residual y - X beta there. When
@@ -234,7 +246,7 @@ def _newton_step(dataset, beta, U, G_inv, state, A, sigma, tau):
     for k in range(MAX_HALVINGS):
         trial = beta + 0.5**k * step
         r = dataset.y - dataset.X @ trial
-        U_trial = _score_terms(dataset, r, state, A, sigma, tau).sum(axis=1)
+        U_trial = _score(r, state, K, tau)
         if np.linalg.norm(U_trial) < norm0:
             return trial, U_trial, r
     trial = beta + 0.5**MAX_HALVINGS * step
@@ -244,42 +256,42 @@ def _newton_step(dataset, beta, U, G_inv, state, A, sigma, tau):
 def _newton_loop(dataset, tau, method, beta0, gamma):
     """Newton in beta with Omega re-estimated at every iteration and Sigma
     whenever the residual sign pattern changes; a step whose halvings run out
-    is taken anyway. Sigma, rho_hat and A are functions of the signs of
+    is taken anyway. Sigma, rho_hat and K are functions of the signs of
     y - X beta alone, so the last SIGN_MEMO_DEPTH patterns keep theirs.
     Returns the last iterate's beta with its residual r, and the last Sigma
-    with its whitened design A."""
+    with its K."""
     beta = beta0.copy()
     r = dataset.y - dataset.X @ beta
     state = _initial_state(dataset)
-    memo = {}  # sign pattern -> (sigma, rho_hat, A), least recently used first
+    memo = {}  # sign pattern -> (sigma, rho_hat, K), least recently used first
     converged = False
     for it in range(MAX_OUTER_ITERATIONS):
         # a non-finite residual matches no key, so it meets the checks of _weighted_sigma
         key = (r < 0.0).tobytes() if np.all(np.isfinite(r)) else object()
         if key in memo:
-            sigma, rho_hat, A = memo.pop(key)
+            sigma, rho_hat, K = memo.pop(key)
         else:
             sigma, rho_hat = _weighted_sigma(dataset, r, tau, method)
-            A = _design(dataset, gamma, sigma)
-        memo[key] = sigma, rho_hat, A
+            K = _design(dataset, gamma, sigma)
+        memo[key] = sigma, rho_hat, K
         if len(memo) > SIGN_MEMO_DEPTH:
             del memo[next(iter(memo))]
-        G_inv, v, at_G, state, delta_omega = _omega_update(dataset, r, state, A, sigma, tau)
-        beta_new, _, r = _newton_step(dataset, beta, v.sum(axis=1), G_inv, at_G, A, sigma, tau)
+        G_inv, v, at_G, state, delta_omega = _omega_update(dataset, r, state, K, tau)
+        beta_new, _, r = _newton_step(dataset, beta, v.sum(axis=1), G_inv, at_G, K, tau)
         delta_beta = float(np.max(np.abs(beta_new - beta)))
         beta = beta_new
         if delta_beta < BETA_TOLERANCE and delta_omega < OMEGA_TOLERANCE:
             converged = True
             break
-    return beta, state, sigma, rho_hat, it + 1, converged, r, A
+    return beta, state, sigma, rho_hat, it + 1, converged, r, K
 
 
-def _refine_root(dataset, beta, r, A, state, sigma, tau):
+def _refine_root(dataset, beta, r, K, state, tau):
     """Newton at frozen weights from beta, with r = y - X beta, until the
     smoothed score is a numerical zero; stops where the Jacobian is singular
     or the halvings run out, and returns the iterate with the smallest
     sup |U~|, its residual and that sup |U~|."""
-    U = _score_terms(dataset, r, state, A, sigma, tau).sum(axis=1)
+    U = _score(r, state, K, tau)
     best = (beta, r, np.inf)
     for _ in range(30):
         sup = float(np.max(np.abs(U)))
@@ -288,10 +300,10 @@ def _refine_root(dataset, beta, r, A, state, sigma, tau):
         if sup <= ROOT_TOLERANCE:
             break
         try:
-            G_inv = _jacobian(dataset, r, state, A, sigma)[1]
+            G_inv = _jacobian(dataset, r, state, K)[1]
         except SolverError:
             break
-        beta, U, r = _newton_step(dataset, beta, U, G_inv, state, A, sigma, tau)
+        beta, U, r = _newton_step(dataset, beta, U, G_inv, state, K, tau)
         if U is None:
             break
     return best
@@ -310,18 +322,22 @@ def _max_step(u, du, v, dv) -> float:
     return min(1.0, float(bound.min()))
 
 
-def _interior_point(X: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
+def _interior_point(X: np.ndarray, y: np.ndarray, tau: float, b: np.ndarray) -> np.ndarray:
     """Frisch-Newton interior point (Portnoy & Koenker, 1997) on the dual LP.
 
-    Solves max y'a subject to X'a = (1 - tau) X'1 and 0 <= a <= 1, the dual
-    of the check-loss problem in a = d + 1 - tau, by Mehrotra
-    predictor-corrector steps from the feasible start a = 1 - tau and the
-    least-squares beta. The multipliers w of a <= 1 and z of a >= 0 satisfy
-    w - z = y - X beta. Each step solves one p x p normal system. Returns a,
-    strictly inside (0, 1); raises LinAlgError on a singular normal system.
+    Solves max y'a subject to X'a = b and 0 <= a <= 1 by Mehrotra
+    predictor-corrector steps from a = 1 - tau and the least-squares beta.
+    With b = (1 - tau) X'1 this is the dual of the check-loss problem in
+    a = d + 1 - tau, and the start is feasible; a banded problem's start is
+    not, so the steps also close the primal residual b - X'a, and the
+    iteration stops once both it and the duality gap are small. The
+    multipliers w of a <= 1 and z of a >= 0 satisfy w - z = y - X beta.
+    Each step solves one p x p normal system; where it is singular, as it
+    becomes near an edge on exact data, the last iterate is returned. Returns
+    a, strictly inside (0, 1); raises LinAlgError once the duality gap is no
+    longer finite, as on an infeasible banded problem.
     """
     N = X.shape[0]
-    b = (1.0 - tau) * X.sum(axis=0)
     a = np.full(N, 1.0 - tau)
     s = np.full(N, tau)  # 1 - a, kept apart so that it stays positive
     beta = np.linalg.lstsq(X, y, rcond=None)[0]
@@ -329,13 +345,17 @@ def _interior_point(X: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
     shift = IPM_START_SHIFT * (1.0 + np.mean(np.abs(r)))
     w = np.maximum(r, 0.0) + shift
     z = np.maximum(-r, 0.0) + shift
+    rb_tol = IPM_GAP_TOL * (1.0 + np.max(np.abs(b)))
     for _ in range(IPM_MAX_ITERATIONS):
         gap = a @ z + s @ w
-        if gap <= IPM_GAP_TOL * (1.0 + abs(y @ a - (1.0 - tau) * y.sum())):
+        if not np.isfinite(gap):
+            raise np.linalg.LinAlgError("interior point diverged")
+        rb = b - X.T @ a
+        if (gap <= IPM_GAP_TOL * (1.0 + abs(y @ a - (1.0 - tau) * y.sum()))
+                and np.max(np.abs(rb)) <= rb_tol):
             break
         theta = 1.0 / (z / a + w / s)
         normal = (X * theta[:, None]).T @ X
-        rb = b - X.T @ a
         rc = y - X @ beta - w + z
 
         def direction(raz, rsw):
@@ -344,14 +364,17 @@ def _interior_point(X: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
             da = theta * (q - X @ dbeta)
             return da, dbeta, (raz - z * da) / a, (rsw + w * da) / s
 
-        # predictor: the affine-scaling direction, then its centring target
-        da, dbeta, dz, dw = direction(-a * z, -s * w)
-        ap = _max_step(a, da, s, -da)
-        ad = _max_step(z, dz, w, dw)
-        gap_aff = (a + ap * da) @ (z + ad * dz) + (s - ap * da) @ (w + ad * dw)
-        mu = (gap_aff / gap) ** 3 * gap / (2 * N)
-        # corrector with the second-order terms of the predictor
-        da, dbeta, dz, dw = direction(mu - a * z - da * dz, mu - s * w + da * dw)
+        try:
+            # predictor: the affine-scaling direction, then its centring target
+            da, dbeta, dz, dw = direction(-a * z, -s * w)
+            ap = _max_step(a, da, s, -da)
+            ad = _max_step(z, dz, w, dw)
+            gap_aff = (a + ap * da) @ (z + ad * dz) + (s - ap * da) @ (w + ad * dw)
+            mu = (gap_aff / gap) ** 3 * gap / (2 * N)
+            # corrector with the second-order terms of the predictor
+            da, dbeta, dz, dw = direction(mu - a * z - da * dz, mu - s * w + da * dw)
+        except np.linalg.LinAlgError:
+            break
         ap = IPM_STEP_FRACTION * _max_step(a, da, s, -da)
         ad = IPM_STEP_FRACTION * _max_step(z, dz, w, dw)
         a, s = a + ap * da, s - ap * da
@@ -359,27 +382,32 @@ def _interior_point(X: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
     return a
 
 
-def _certified_vertex(X: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray | None:
-    """The vertex the interior point points at, if it is the unique minimizer.
+def _innermost(a: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k entries of a furthest inside (0, 1)."""
+    if k == 0:
+        return np.empty(0, dtype=int)
+    return np.argpartition(-np.minimum(a, 1.0 - a), k - 1)[:k]
 
-    The p rows that the interior solution leaves furthest inside (0, 1) give
-    the vertex X_h b = y_h. With every other residual non-zero and d_o = tau
-    or tau - 1 by its sign, the d_h solving X_h'd_h = -X_o'd_o make d a dual
-    solution; when they lie strictly inside (tau - 1, tau), every direction
-    away from b raises the check loss, so b is the unique minimizer
-    (Koenker & Bassett, 1978). Returns None when the check fails: at ties,
-    degenerate vertices and (nearly) singular X_h.
+
+def _well_conditioned(sv: np.ndarray) -> bool:
+    # a dual solve carries a rounding error of about cond * eps; FLAT_TOL must cover it
+    return sv.size == 0 or sv[-1] * FLAT_TOL > sv[0] * np.finfo(float).eps
+
+
+def _certified_vertex(X: np.ndarray, y: np.ndarray, tau: float, a: np.ndarray) -> np.ndarray | None:
+    """The vertex the dual point a points at, if it is the unique minimizer.
+
+    The p rows that a leaves furthest inside (0, 1) give the vertex
+    X_h b = y_h. With every other residual non-zero and d_o = tau or tau - 1
+    by its sign, the d_h solving X_h'd_h = -X_o'd_o make d a dual solution;
+    when they lie strictly inside (tau - 1, tau), every direction away from
+    b raises the check loss, so b is the unique minimizer (Koenker &
+    Bassett, 1978). Returns None when the check fails: at ties, degenerate
+    vertices and (nearly) singular X_h.
     """
-    p = X.shape[1]
-    try:
-        a = _interior_point(X, y, tau)
-    except np.linalg.LinAlgError:
-        return None
-    h = np.argpartition(-np.minimum(a, 1.0 - a), p - 1)[:p]
+    h = _innermost(a, X.shape[1])
     Xh = X[h]
-    sv = np.linalg.svd(Xh, compute_uv=False)
-    # d_h carries a rounding error of about cond(X_h) * eps; FLAT_TOL must cover it
-    if not sv[-1] * FLAT_TOL > sv[0] * np.finfo(float).eps:
+    if not _well_conditioned(np.linalg.svd(Xh, compute_uv=False)):
         return None
     beta = np.linalg.solve(Xh, y[h])
     other = np.ones(X.shape[0], dtype=bool)
@@ -393,22 +421,104 @@ def _certified_vertex(X: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray | 
     return None
 
 
-def _check_loss_minimizer(X: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
+def _certified_edge(X: np.ndarray, y: np.ndarray, tau: float, a: np.ndarray) -> np.ndarray | None:
+    """The midpoint of the optimal edge the dual point a points at, if certified.
+
+    The p - 1 rows Z that a leaves furthest inside (0, 1) span a line
+    b0 + t v on which X_Z b = y_Z. Every other row is put at the bound of
+    (tau - 1, tau) that a is nearer to, d_o = tau above the line and
+    tau - 1 below. When X_Z'd_Z = -X_o'd_o has a solution, which needs
+    v'X_o'd_o = 0 (the check loss is flat along v), and that d_Z lies
+    strictly inside (tau - 1, tau), d is a dual solution whose optimal
+    primal set is the segment of the line on which every other residual
+    keeps its side. A ratio test over those rows gives the segment's ends,
+    and its midpoint is returned when every other residual there is
+    clearly off zero. Returns None otherwise: at vertices, faces of
+    dimension 2 or more, degenerate edges and (nearly) singular X_Z.
+    """
+    Z = _innermost(a, X.shape[1] - 1)
+    U, sv, Vt = np.linalg.svd(X[Z])
+    if not _well_conditioned(sv):
+        return None
+    v, b0 = Vt[-1], Vt[:-1].T @ ((U.T @ y[Z]) / sv)
+    other = np.ones(X.shape[0], dtype=bool)
+    other[Z] = False
+    Xo, side = X[other], np.where(a[other] > 0.5, 1.0, -1.0)
+    d_o, g = np.where(side > 0.0, tau, tau - 1.0), Xo @ v
+    if abs(d_o @ g) > FLAT_TOL * (np.abs(d_o) @ np.abs(g)):
+        return None
+    d_Z = U @ ((Vt[:-1] @ -(Xo.T @ d_o)) / sv)
+    if not np.all((d_Z > tau - 1.0 + FLAT_TOL) & (d_Z < tau - FLAT_TOL)):
+        return None
+    # side * (y_o - x_o'(b0 + t v)) >= 0 bounds t by e / f on each row
+    e, f = side * (y[other] - Xo @ b0), side * g
+    t_hi = np.min(e[f > 0.0] / f[f > 0.0], initial=np.inf)
+    t_lo = np.max(e[f < 0.0] / f[f < 0.0], initial=-np.inf)
+    if not -np.inf < t_lo < t_hi < np.inf:
+        return None
+    beta = b0 + 0.5 * (t_lo + t_hi) * v
+    margin = FLAT_TOL * (np.abs(y[other]) + np.abs(Xo) @ np.abs(beta))
+    if np.all(side * (y[other] - Xo @ beta) > margin):
+        return beta
+    return None
+
+
+def _certified_minimizer(X, y, tau, a):
+    """The certified vertex or edge midpoint that the dual point a points at, or None."""
+    vertex = _certified_vertex(X, y, tau, a)
+    return vertex if vertex is not None else _certified_edge(X, y, tau, a)
+
+
+def _banded_minimizer(X, y, tau, r, h):
+    """The certified minimizer from an interior point on the rows near tau.
+
+    r is the residual of a fit at a quantile within h of tau. Rows whose
+    rank in r lies within h of tau form the band; the rows above it are
+    fixed at a = 1 through the right-hand side, those below it at a = 0
+    (Portnoy & Koenker, 1997). The interior point runs on the band alone,
+    and the certificate is checked on all rows. None when it fails.
+    """
+    N = X.shape[0]
+    order = np.argsort(r, kind="stable")
+    lo = int(np.clip(np.floor(N * (tau - h)), 0, N))
+    hi = int(np.clip(np.ceil(N * (tau + h)), lo, N))
+    band, above = order[lo:hi], order[hi:]
+    a = np.zeros(N)
+    a[above] = 1.0
+    rhs = (1.0 - tau) * X.sum(axis=0) - X[above].sum(axis=0)
+    try:
+        # on an infeasible band the iterates run to the bounds and overflow
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            a[band] = _interior_point(X[band], y[band], tau, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    return _certified_minimizer(X, y, tau, a)
+
+
+def _check_loss_minimizer(X: np.ndarray, y: np.ndarray, tau: float, pilot=None) -> np.ndarray:
     """Exact minimizer of the check-loss objective (Koenker & Bassett, 1978).
 
-    The certified interior-point vertex when there is one. Otherwise HiGHS
-    solves the dual LP, max y'd subject to X'd = 0 and tau - 1 <= d <= tau;
-    beta is the negated multiplier of X'd = 0. The minimizer is not unique
-    when the optimal set is a face of the LP. With Z the rows whose d lies
-    strictly inside its bounds and r = y - X b, that face is X_Z b = y_Z,
-    r_i >= 0 where d_i = tau, r_i <= 0 where d_i = tau - 1. For each
-    orthonormal direction v of the null space of X_Z, two small LPs find the
-    face's extreme points in v'b; their mean is returned, which on an edge is
-    its midpoint.
+    The certified vertex or edge midpoint that the interior point points at,
+    when there is one; with ``pilot`` = (r, h), the residual of a fit at a
+    quantile within h of tau, the interior point first runs on the band of
+    rows near tau. Otherwise HiGHS solves the dual LP, max y'd subject to
+    X'd = 0 and tau - 1 <= d <= tau; beta is the negated multiplier of
+    X'd = 0. The minimizer is not unique when the optimal set is a face of
+    the LP. With Z the rows whose d lies strictly inside its bounds and
+    r = y - X b, that face is X_Z b = y_Z, r_i >= 0 where d_i = tau,
+    r_i <= 0 where d_i = tau - 1. For each orthonormal direction v of the
+    null space of X_Z, two small LPs find the face's extreme points in v'b;
+    their mean is returned, which on an edge is its midpoint.
     """
-    vertex = _certified_vertex(X, y, tau)
-    if vertex is not None:
-        return vertex
+    beta = None if pilot is None else _banded_minimizer(X, y, tau, *pilot)
+    if beta is None:
+        try:
+            a = _interior_point(X, y, tau, (1.0 - tau) * X.sum(axis=0))
+        except np.linalg.LinAlgError:
+            a = None
+        beta = None if a is None else _certified_minimizer(X, y, tau, a)
+    if beta is not None:
+        return beta
     p = X.shape[1]
     res = linprog(-y, A_eq=X.T, b_eq=np.zeros(p), bounds=(tau - 1.0, tau), method="highs")
     if res.status != 0:
@@ -464,11 +574,11 @@ def _fit_wi(dataset: LongitudinalDataset, tau: float, beta: np.ndarray) -> FitRe
     gamma = identity_sparsity(dataset)
     variances = ScoreVariances(np.full(dataset.max_n, sigma_constant(tau)))
     sigma = assemble_working_covariance(variances, np.eye(dataset.max_n), dataset)
-    A = _design(dataset, gamma, sigma)
+    K = _design(dataset, gamma, sigma)
     r = dataset.y - dataset.X @ beta
     state = _initial_state(dataset)
     for it in range(MAX_OUTER_ITERATIONS):
-        state, change = _omega_update(dataset, r, state, A, sigma, tau)[3:]
+        state, change = _omega_update(dataset, r, state, K, tau)[3:]
         converged = change < OMEGA_TOLERANCE
         if converged:
             break
@@ -478,27 +588,29 @@ def _fit_wi(dataset: LongitudinalDataset, tau: float, beta: np.ndarray) -> FitRe
 def _fit_weighted(dataset, tau, method, beta0, gamma) -> FitResult:
     """PQR or AQR fit; ``converged`` means that the Newton loop stopped and
     that the root refinement reached ROOT_TOLERANCE."""
-    beta, state, sigma, rho_hat, iterations, converged, r, A = _newton_loop(
+    beta, state, _, rho_hat, iterations, converged, r, K = _newton_loop(
         dataset, tau, method, beta0, gamma
     )
     if converged:
-        beta, r, root_norm = _refine_root(dataset, beta, r, A, state, sigma, tau)
+        beta, r, root_norm = _refine_root(dataset, beta, r, K, state, tau)
         converged = root_norm <= ROOT_TOLERANCE
     try:  # not _omega_update: a singular G~ here gives NaN SEs, not an inflated Omega
-        G_inv = _jacobian(dataset, r, state, A, sigma)[1]
-        omega = _sandwich(G_inv, _score_terms(dataset, r, state, A, sigma, tau))
+        G_inv = _jacobian(dataset, r, state, K)[1]
+        omega = _sandwich(G_inv, _score_terms(dataset, r, state, K, tau))
     except SolverError:
         omega = None
     return _fit_result(dataset, tau, method, beta, omega, rho_hat, iterations, converged)
 
 
-def _gamma_for(dataset, tau, gamma_mode) -> np.ndarray:
+def _gamma_for(dataset, tau, gamma_mode, r=None) -> np.ndarray:
+    """Gamma's diagonal; r, the residual of the fit at tau, bands the LPs at tau +/- h."""
     if gamma_mode == "identity":
         return identity_sparsity(dataset)
     h = hall_sheather_bandwidth(tau, dataset.n_obs)
+    pilot = None if r is None else (r, h)
     try:
-        beta_lo = _check_loss_minimizer(dataset.X, dataset.y, tau - h)
-        beta_hi = _check_loss_minimizer(dataset.X, dataset.y, tau + h)
+        beta_lo = _check_loss_minimizer(dataset.X, dataset.y, tau - h, pilot)
+        beta_hi = _check_loss_minimizer(dataset.X, dataset.y, tau + h, pilot)
     except SolverError:
         # a failed auxiliary LP: fall back to unit weights, which the
         # estimator tolerates at some efficiency cost
@@ -547,7 +659,7 @@ def fit_many(
         results["WI"] = _fit_wi(dataset, tau, beta)
     weighted = [m for m in wanted if m != "WI"]
     if weighted:
-        gamma = _gamma_for(dataset, tau, gamma_mode)
+        gamma = _gamma_for(dataset, tau, gamma_mode, dataset.y - dataset.X @ beta)
         for method in weighted:
             results[method] = _fit_weighted(dataset, tau, method, beta, gamma)
     return results

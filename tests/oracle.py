@@ -83,27 +83,27 @@ def subject_rows(dataset: LongitudinalDataset):
 
 # U~, G~ and cov(U~) composed from the solver's private kernels
 def smoothed_estimating_function(dataset, beta, state, gamma, sigma, tau):
-    A = solver._design(dataset, gamma, sigma)
-    return solver._score_terms(dataset, residual(dataset, beta), state, A, sigma, tau).sum(axis=1)
+    K = solver._design(dataset, gamma, sigma)
+    return solver._score_terms(dataset, residual(dataset, beta), state, K, tau).sum(axis=1)
 
 
 def smoothed_jacobian(dataset, beta, state, gamma, sigma, tau):
-    A = solver._design(dataset, gamma, sigma)
-    return solver._jacobian(dataset, residual(dataset, beta), state, A, sigma)[0]
+    K = solver._design(dataset, gamma, sigma)
+    return solver._jacobian(dataset, residual(dataset, beta), state, K)[0]
 
 
 def score_covariance(dataset, beta, state, gamma, sigma, tau):
-    A = solver._design(dataset, gamma, sigma)
-    v = solver._score_terms(dataset, residual(dataset, beta), state, A, sigma, tau)
+    K = solver._design(dataset, gamma, sigma)
+    v = solver._score_terms(dataset, residual(dataset, beta), state, K, tau)
     return v @ v.T
 
 
 def sandwich_covariance(dataset, beta, state, gamma, sigma, tau):
     """Sandwich estimate G~^{-1} cov(U~) G~^{-T} of the covariance of beta."""
-    A = solver._design(dataset, gamma, sigma)
+    K = solver._design(dataset, gamma, sigma)
     r = residual(dataset, beta)
-    G_inv = solver._jacobian(dataset, r, state, A, sigma)[1]
-    return solver._sandwich(G_inv, solver._score_terms(dataset, r, state, A, sigma, tau))
+    G_inv = solver._jacobian(dataset, r, state, K)[1]
+    return solver._sandwich(G_inv, solver._score_terms(dataset, r, state, K, tau))
 
 
 def residual(dataset, beta):
@@ -111,7 +111,7 @@ def residual(dataset, beta):
 
 
 def newton_loop_reference(dataset, tau, method, beta0, gamma):
-    """``solver._newton_loop`` with Sigma, rho_hat and the whitened design
+    """``solver._newton_loop`` with Sigma, rho_hat and K = Sigma^{-1} Gamma X
     rebuilt at every iterate and each iterate's residual formed from beta."""
     beta = beta0.copy()
     state = solver._initial_state(dataset)
@@ -119,15 +119,15 @@ def newton_loop_reference(dataset, tau, method, beta0, gamma):
     for it in range(solver.MAX_OUTER_ITERATIONS):
         r = residual(dataset, beta)
         sigma, rho_hat = solver._weighted_sigma(dataset, r, tau, method)
-        A = solver._design(dataset, gamma, sigma)
-        G_inv, v, at_G, state, delta_omega = solver._omega_update(dataset, r, state, A, sigma, tau)
-        beta_new = solver._newton_step(dataset, beta, v.sum(axis=1), G_inv, at_G, A, sigma, tau)[0]
+        K = solver._design(dataset, gamma, sigma)
+        G_inv, v, at_G, state, delta_omega = solver._omega_update(dataset, r, state, K, tau)
+        beta_new = solver._newton_step(dataset, beta, v.sum(axis=1), G_inv, at_G, K, tau)[0]
         delta_beta = float(np.max(np.abs(beta_new - beta)))
         beta = beta_new
         if delta_beta < solver.BETA_TOLERANCE and delta_omega < solver.OMEGA_TOLERANCE:
             converged = True
             break
-    return beta, state, sigma, rho_hat, it + 1, converged, residual(dataset, beta), A
+    return beta, state, sigma, rho_hat, it + 1, converged, residual(dataset, beta), K
 
 
 def fit_state(dataset, tau, result, gamma_mode="hk"):
@@ -145,7 +145,7 @@ def fit_state(dataset, tau, result, gamma_mode="hk"):
         state = solver.SmoothingState.from_omega(dataset, result.omega)
         return state, identity_sparsity(dataset), sigma
     beta0 = solver._check_loss_minimizer(dataset.X, dataset.y, tau)
-    gamma = solver._gamma_for(dataset, tau, gamma_mode)
+    gamma = solver._gamma_for(dataset, tau, gamma_mode, residual(dataset, beta0))
     loop = solver._newton_loop(dataset, tau, result.method, beta0, gamma)
     return loop[1], gamma, loop[2]
 

@@ -12,6 +12,7 @@ from scipy.linalg import toeplitz
 from scipy.special import ndtr
 
 import wqreg
+import wqreg.solver as solver_mod
 from wqreg import SimConfig, SolverError, fit, run_study
 from wqreg.simulation import (
     BETA_TRUE,
@@ -288,11 +289,19 @@ def test_run_study_wi_always_recorded():
     assert all(np.isfinite(r.eff) for r in report.rows)
 
 
-def test_replicate_keeps_the_fits_of_methods_that_did_not_raise():
-    # in replication 7 AQR's Jacobian stays singular under radius inflation,
-    # so the joint fit raises; WI and PQR are refitted alone and kept
+def test_replicate_keeps_the_fits_of_methods_that_did_not_raise(monkeypatch):
+    # AQR's fit raises, so the joint fit raises; WI and PQR are refitted
+    # alone and kept
     config = SimConfig(m=60, n=4, rho=0.9, taus=(0.95,), master_seed=1)
     ds = generate_dataset(config, 7)
+    weighted = solver_mod._fit_weighted
+
+    def aqr_raises(dataset, tau, method, beta0, gamma):
+        if method == "AQR":
+            raise SolverError("smoothed Jacobian stayed singular under radius inflation")
+        return weighted(dataset, tau, method, beta0, gamma)
+
+    monkeypatch.setattr(solver_mod, "_fit_weighted", aqr_raises)
     with pytest.raises(SolverError):
         fit(ds, 0.95, "AQR")
     records = {r.method: r for r in _replicate(config, 7)}

@@ -79,10 +79,10 @@ def test_hk_falls_back_to_identity_when_an_lp_fails(monkeypatch):
     assert np.array_equal(solver_mod._gamma_for(ds, 0.5, "hk"), hk)
     assert not np.all(hk == 1.0)
 
-    def fail_above_median(X, y, tau):
+    def fail_above_median(X, y, tau, pilot=None):
         if tau > 0.5:
             raise SolverError("check-loss LP failed")
-        return exact(X, y, tau)
+        return exact(X, y, tau, pilot)
 
     # the LP at tau + h fails, the one at tau - h does not
     monkeypatch.setattr(solver_mod, "_check_loss_minimizer", fail_above_median)
